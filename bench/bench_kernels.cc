@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks of the hot kernels: bit I/O, tuned
  * field decode, gpzip round trips, SAGe software decode, banded
- * alignment and the quality range coder. These quantify the per-kernel
- * costs behind the Fig. 13/14 stage times.
+ * alignment, the quality range coder and the wire/container CRC-32.
+ * These quantify the per-kernel costs behind the Fig. 13/14 stage
+ * times.
  *
  * The sequence-kernel section (pack/unpack/revcomp) measures three
  * tiers against each other — the historical per-bit BitReader/
@@ -31,6 +32,7 @@
 #include "simgen/synthesize.hh"
 #include "util/bitio.hh"
 #include "util/cpu.hh"
+#include "util/crc32.hh"
 #include "util/rng.hh"
 #include "util/timing.hh"
 
@@ -119,6 +121,24 @@ BM_GpzipDecompress(benchmark::State &state)
     state.SetBytesProcessed(state.iterations() * text.size());
 }
 BENCHMARK(BM_GpzipDecompress);
+
+/** CRC-32 over one 1024-read reply frame's worth of bytes (~358 KB),
+ *  the size every served READ_RANGE checksums twice (encode and
+ *  verify). Labelled with the dispatched path; run again under
+ *  SAGE_FORCE_SCALAR=1 for the portable slice-by-8 figure. */
+void
+BM_Crc32(benchmark::State &state)
+{
+    Rng rng(6);
+    std::vector<uint8_t> frame(358 * 1024);
+    for (auto &b : frame)
+        b = static_cast<uint8_t>(rng.next());
+    for (auto _ : state)
+        benchmark::DoNotOptimize(Crc32::of(frame));
+    state.SetBytesProcessed(state.iterations() * frame.size());
+    state.SetLabel(crc32PathName());
+}
+BENCHMARK(BM_Crc32);
 
 void
 BM_SageDecode(benchmark::State &state)
@@ -459,10 +479,11 @@ main(int argc, char **argv)
         if (arg.rfind("--json=", 0) == 0)
             json_path = arg.substr(7);
     }
-    std::printf("sequence-kernel dispatch: %s (hardware %s%s)\n",
+    std::printf("sequence-kernel dispatch: %s (hardware %s%s), crc32: %s\n",
                 sage::kernels::activeLevelName(),
                 sage::simdLevelName(sage::hardwareSimdLevel()),
-                sage::simdForcedScalar() ? ", SAGE_FORCE_SCALAR" : "");
+                sage::simdForcedScalar() ? ", SAGE_FORCE_SCALAR" : "",
+                sage::crc32PathName());
     if (!json_path.empty())
         sage::writeKernelJson(json_path);
 

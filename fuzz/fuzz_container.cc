@@ -8,9 +8,9 @@
  * the contract under test is "a Status, never a crash".
  *
  * Built behind -DSAGE_BUILD_FUZZERS=ON (clang only); see
- * fuzz/CMakeLists.txt. Seeds live in fuzz/corpus/ — a valid tiny
- * archive plus truncated/flipped variants gives the fuzzer the
- * framing structure to mutate from.
+ * fuzz/CMakeLists.txt. Seeds live in fuzz/corpus/container/ — a
+ * valid tiny archive plus truncated/flipped variants gives the fuzzer
+ * the framing structure to mutate from.
  */
 
 #include <cstddef>

@@ -9,6 +9,9 @@ namespace net {
 
 namespace {
 
+/** Per-read record prefix: u16 headerLen + u32 basesLen + u32 qualsLen. */
+constexpr size_t kReadRecordBytes = 10;
+
 // ---- little-endian primitives ---------------------------------------
 
 void
@@ -381,10 +384,30 @@ appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
     endFrame(out, at);
 }
 
-void
+Status
 appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
                 uint64_t request_id, const std::vector<Read> &reads)
 {
+    // Check every read against the wire's field widths before writing
+    // a byte, so a refused reply leaves @p out untouched.
+    uint64_t frame_bytes =
+        kReplyHeaderBytes + sizeof(uint32_t) /* read count */ +
+        kFrameCrcBytes;
+    for (size_t i = 0; i < reads.size(); i++) {
+        const Read &read = reads[i];
+        if (read.header.size() > kMaxReadHeaderBytes)
+            return Status::outOfRange(
+                "read ", i, " of the reply has a ", read.header.size(),
+                "-byte header; the wire limit is ", kMaxReadHeaderBytes,
+                " bytes");
+        frame_bytes += kReadRecordBytes + read.header.size() +
+            read.bases.size() + read.quals.size();
+    }
+    if (frame_bytes > kMaxFrameBytes)
+        return Status::outOfRange(
+            "a reply of ", reads.size(), " reads needs ", frame_bytes,
+            " frame bytes; the wire limit is ", kMaxFrameBytes, " bytes");
+
     const size_t at = beginFrame(out);
     putReplyHeader(out, request_type, WireStatus::Ok, request_id);
     putU32(out, static_cast<uint32_t>(reads.size()));
@@ -397,6 +420,7 @@ appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
         putBytes(out, read.quals.data(), read.quals.size());
     }
     endFrame(out, at);
+    return Status();
 }
 
 void
@@ -560,7 +584,7 @@ parseReadReplyPayload(const uint8_t *payload, size_t size)
         return malformed("READ reply short");
     // A count can promise at most the remaining bytes (each read costs
     // at least its 10-byte descriptor); reject before reserving.
-    if (count > cur.remaining() / 10 + 1)
+    if (count > cur.remaining() / kReadRecordBytes + 1)
         return Status::corrupt(
             "malformed frame: read count ", count,
             " exceeds payload capacity");

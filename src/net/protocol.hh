@@ -49,7 +49,9 @@
  * Read payloads pack each read as u16 headerLen, u32 basesLen,
  * u32 qualsLen followed by the three byte strings — enough for the
  * blocking client to rebuild genomics/read.hh Read objects without
- * touching FASTQ text.
+ * touching FASTQ text. A read the u16 cannot describe (header over
+ * kMaxReadHeaderBytes) is never encoded: appendReadReply refuses it
+ * and the server answers that request with an OutOfRange error.
  */
 
 #ifndef SAGE_NET_PROTOCOL_HH
@@ -85,6 +87,11 @@ constexpr size_t kFrameCrcBytes = 4;
  *  ServerOptions::maxRequestFrameBytes on whole frames. */
 constexpr size_t kMaxNameBytes = 4096;
 constexpr size_t kMaxErrorMessageBytes = 4096;
+
+/** Field limits of a read reply: each read's header length is a u16,
+ *  and the whole frame must fit the u32 length prefix. */
+constexpr size_t kMaxReadHeaderBytes = 0xFFFF;
+constexpr uint64_t kMaxFrameBytes = 0xFFFFFFFFu;
 
 /** STAT target meaning "the whole server", not one archive. */
 constexpr uint32_t kStatServer = 0xFFFFFFFFu;
@@ -240,9 +247,12 @@ void appendLegacyErrorReply(std::vector<uint8_t> &out,
 void appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
                      MsgType request_type, const OpenReply &reply);
 
-void appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
-                     uint64_t request_id,
-                     const std::vector<Read> &reads);
+/** OutOfRange, with @p out untouched, when a read's header exceeds
+ *  kMaxReadHeaderBytes or the frame would exceed kMaxFrameBytes — the
+ *  wire fields could not carry it. */
+Status appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
+                       uint64_t request_id,
+                       const std::vector<Read> &reads);
 
 void appendStatReply(std::vector<uint8_t> &out, uint64_t request_id,
                      const WireServerStats &stats);

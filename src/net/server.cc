@@ -62,6 +62,21 @@ secondsToMs(double seconds)
                           : static_cast<uint64_t>(seconds * 1000.0);
 }
 
+/** "READ_RANGE archive 3 reads [10, 20)" / "READ_CHUNK archive 3
+ *  chunk 5": names a read request in an error reply. */
+std::string
+describeRead(const RequestFrame &request)
+{
+    const std::string archive =
+        " archive " + std::to_string(request.archive);
+    if (request.type == MsgType::ReadChunk)
+        return "READ_CHUNK" + archive + " chunk " +
+            std::to_string(request.chunk);
+    return "READ_RANGE" + archive + " reads [" +
+        std::to_string(request.first) + ", " +
+        std::to_string(request.first + request.count) + ")";
+}
+
 } // namespace
 
 Server::Server(MultiArchiveService &service, ServerOptions options)
@@ -781,12 +796,20 @@ Server::handleRead(Conn &conn, const RequestFrame &request)
     qos.cancel = drainCancel_.token();
 
     pendingCallbacks_.fetch_add(1, std::memory_order_acq_rel);
-    auto complete = [this, conn_id = conn.id,
-                     request_id = request.requestId,
-                     type = request.type](ReadResult result) {
+    auto complete = [this, conn_id = conn.id, request](ReadResult result) {
+        const MsgType type = request.type;
+        const uint64_t request_id = request.requestId;
         std::vector<uint8_t> frame;
         if (result.status == RequestStatus::Ok) {
-            appendReadReply(frame, type, request_id, result.reads);
+            const Status encoded =
+                appendReadReply(frame, type, request_id, result.reads);
+            // A read the wire cannot carry fails this request only;
+            // the connection stays usable.
+            if (!encoded.ok())
+                appendErrorReply(frame, type, request_id,
+                                 wireStatusFromStatus(encoded),
+                                 describeRead(request) + ": " +
+                                     encoded.message());
         } else {
             const std::string detail =
                 result.error.ok() ? requestStatusName(result.status)

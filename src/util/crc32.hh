@@ -1,7 +1,21 @@
 /**
  * @file
- * CRC-32 (IEEE 802.3 polynomial) used for container integrity checks in
- * the gpzip and SAGe file formats.
+ * CRC-32 over the IEEE 802.3 polynomial 0x04C11DB7 (bit-reflected
+ * 0xEDB88320, initial value and final XOR 0xFFFFFFFF — the zlib/PNG
+ * CRC-32, check value 0xCBF43926 for "123456789"). It guards every
+ * integrity-checked byte the repo writes: the SAGe container trailer,
+ * stream bundles, gpzip and packbit blocks, and the protocol-v2 wire
+ * frames (net/protocol.hh).
+ *
+ * update() is dispatched once, at first use, between two paths that
+ * return identical values for every input:
+ *   - pclmul: on x86-64 hosts with PCLMULQDQ and SSE4.1, four 128-bit
+ *     carry-less-multiply accumulators fold 64 bytes per step and a
+ *     Barrett reduction produces the 32-bit remainder. Inputs under
+ *     64 bytes and the final 0-15 bytes take the portable path.
+ *   - slice-by-8: the portable path, eight table lookups per 8 bytes.
+ * Setting SAGE_FORCE_SCALAR=1 (util/cpu.hh) pins the portable path,
+ * the same switch that pins the scalar sequence kernels.
  */
 
 #ifndef SAGE_UTIL_CRC32_HH
@@ -48,6 +62,9 @@ class Crc32
   private:
     uint32_t state_ = 0xffffffffu;
 };
+
+/** The dispatched update path: "pclmul" or "slice-by-8". */
+const char *crc32PathName();
 
 } // namespace sage
 

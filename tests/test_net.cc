@@ -248,6 +248,37 @@ TEST(NetProtocol, ReadReplyRoundTrip)
     expectSameReads(*back, reads);
 }
 
+TEST(NetProtocol, ReadReplyRefusesHeaderPastU16)
+{
+    std::vector<Read> reads(2);
+    reads[0].header = std::string(net::kMaxReadHeaderBytes, 'h');
+    reads[0].bases = "ACGT";
+    reads[1].bases = "GG";
+
+    // Exactly at the limit: encodes and round-trips.
+    std::vector<uint8_t> frame;
+    ASSERT_TRUE(
+        net::appendReadReply(frame, MsgType::ReadRange, 1, reads).ok());
+    const size_t body = verifiedBodySize(frame);
+    const size_t skip = net::kLenBytes + net::kReplyHeaderBytes;
+    const StatusOr<std::vector<Read>> back =
+        net::parseReadReplyPayload(frame.data() + skip,
+                                   body - net::kReplyHeaderBytes);
+    ASSERT_TRUE(back.ok()) << back.status().toString();
+    expectSameReads(*back, reads);
+
+    // One byte over: refused, and the output buffer is left as it was.
+    reads[1].header = std::string(net::kMaxReadHeaderBytes + 1, 'h');
+    const std::vector<uint8_t> before = frame;
+    const Status refused =
+        net::appendReadReply(frame, MsgType::ReadRange, 2, reads);
+    EXPECT_EQ(refused.code(), StatusCode::OutOfRange);
+    EXPECT_NE(refused.message().find("read 1 of the reply"),
+              std::string::npos)
+        << refused.message();
+    EXPECT_EQ(frame, before);
+}
+
 TEST(NetProtocol, OpenStatErrorRepliesRoundTrip)
 {
     OpenReply meta;
@@ -946,6 +977,109 @@ TEST_F(NetServerTest, ErrorRepliesLeaveConnectionUsable)
     const StatusOr<WireServerStats> stats = (*client)->statServer();
     ASSERT_TRUE(stats.ok());
     EXPECT_EQ(stats->reopens, 1u);
+}
+
+TEST_F(NetServerTest, OversizeHeaderGetsCleanErrorConnectionStaysUsable)
+{
+    // A read whose header outgrows the wire's u16 length field: the
+    // range holding it must get an in-band refusal naming the read and
+    // the limit, never a frame that parses as garbage.
+    DatasetSpec spec = makeTinySpec(false);
+    spec.seed += 1000;
+    SimulatedDataset ds = synthesizeDataset(spec);
+    const std::string long_header = "@long " + std::string(70000 - 6, 'h');
+    ds.readSet.reads[5].header = long_header;
+    SageConfig config;
+    config.chunkReads = 64;
+    config.preserveOrder = false;
+    const SageArchive archive =
+        sageCompress(ds.readSet, ds.reference, config);
+    CorpusArchive entry;
+    entry.name = "long_header.sage";
+    {
+        FileSink sink(dir_ + "/" + entry.name);
+        sink.writeBytes(archive.bytes);
+    }
+    {
+        SageReader reader(dir_ + "/" + entry.name);
+        for (size_t c = 0; c < reader.chunkCount(); c++) {
+            const std::vector<Read> reads = reader.readChunk(c);
+            entry.expected.insert(entry.expected.end(), reads.begin(),
+                                  reads.end());
+        }
+        entry.chunks = reader.chunkCount();
+    }
+    corpus_.push_back(entry);  // TearDown removes it.
+    const std::vector<Read> &expected = entry.expected;
+    size_t bad = expected.size();
+    for (size_t i = 0; i < expected.size(); i++) {
+        if (expected[i].header == long_header)
+            bad = i;
+    }
+    ASSERT_LT(bad, expected.size()) << "archive lost the long header";
+
+    MultiArchiveOptions service_options;
+    service_options.ownedPoolThreads = 2;
+    MultiArchiveService service(dir_, service_options);
+    Server server(service);
+    ASSERT_TRUE(server.start().ok());
+    StatusOr<std::unique_ptr<Client>> client =
+        Client::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(client.ok()) << client.status().toString();
+    const StatusOr<OpenReply> open = (*client)->open(entry.name);
+    ASSERT_TRUE(open.ok()) << open.status().toString();
+
+    // The range holding the read: a clean OutOfRange naming the read
+    // and the limit.
+    const uint64_t first = bad >= 3 ? bad - 3 : 0;
+    StatusOr<net::ReadReply> reply =
+        (*client)->readRange(open->archive, first, 8);
+    ASSERT_TRUE(reply.ok()) << reply.status().toString();
+    EXPECT_EQ(reply->status, WireStatus::OutOfRange);
+    EXPECT_TRUE(reply->reads.empty());
+    EXPECT_NE(reply->message.find("reads [" + std::to_string(first) +
+                                  ", " + std::to_string(first + 8) + ")"),
+              std::string::npos)
+        << reply->message;
+    EXPECT_NE(reply->message.find("read " + std::to_string(bad - first) +
+                                  " of the reply has a 70000-byte header"),
+              std::string::npos)
+        << reply->message;
+    EXPECT_NE(reply->message.find("65535"), std::string::npos)
+        << reply->message;
+
+    // The chunk holding it too.
+    const StatusOr<net::ReadReply> chunk =
+        (*client)->readChunk(open->archive, bad / config.chunkReads);
+    ASSERT_TRUE(chunk.ok()) << chunk.status().toString();
+    EXPECT_EQ(chunk->status, WireStatus::OutOfRange);
+
+    // Every other read, on the same connection, byte-identical.
+    std::vector<Read> got;
+    std::vector<Read> want;
+    for (uint64_t at = 0; at < expected.size();) {
+        const uint64_t end =
+            at < bad ? bad : static_cast<uint64_t>(expected.size());
+        const uint64_t count = std::min<uint64_t>(50, end - at);
+        if (count > 0) {
+            reply = (*client)->readRange(open->archive, at, count);
+            ASSERT_TRUE(reply.ok()) << reply.status().toString();
+            ASSERT_TRUE(reply->ok()) << reply->message;
+            got.insert(got.end(), reply->reads.begin(),
+                       reply->reads.end());
+            want.insert(want.end(), expected.begin() + at,
+                        expected.begin() + at + count);
+        }
+        at += count;
+        if (at == bad)
+            at++;
+    }
+    ASSERT_EQ(got.size(), expected.size() - 1);
+    expectSameReads(got, want);
+
+    const net::ServerNetStats net_stats = server.netStats();
+    EXPECT_EQ(net_stats.protocolErrors, 0u);
+    EXPECT_EQ(net_stats.accepted, 1u);
 }
 
 TEST_F(NetServerTest, OverloadProducesOverloadedRepliesNotDrops)

@@ -86,12 +86,20 @@ TEST(Packbit, CorruptionDetected)
 // Seed-sweep property tests (the losslessness invariant)
 // ---------------------------------------------------------------------
 
+// gtest names each case after the parameter's raw bytes, so the padding
+// after `longRead` is spelled out and zeroed: left implicit it holds stack
+// garbage and the case names change from one run to the next.
 struct SweepParam
 {
+    SweepParam(uint64_t s, bool l, double d) : seed(s), longRead(l), depth(d)
+    {}
+
     uint64_t seed;
     bool longRead;
+    uint8_t padding[7]{};
     double depth;
 };
+static_assert(sizeof(SweepParam) == 24, "no implicit padding in SweepParam");
 
 class LosslessSweep : public ::testing::TestWithParam<SweepParam>
 {};

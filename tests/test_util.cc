@@ -6,12 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <map>
 #include <numeric>
 
 #include "util/bitio.hh"
+#include "util/cpu.hh"
 #include "util/crc32.hh"
 #include "util/histogram.hh"
 #include "util/prefix_code.hh"
@@ -184,6 +186,104 @@ TEST(Crc32, IncrementalMatchesOneShot)
     crc.update(data.data(), 400);
     crc.update(data.data() + 400, 600);
     EXPECT_EQ(crc.value(), Crc32::of(data));
+}
+
+/** Bytewise-table reference CRC-32, independent of util/crc32.cc: the
+ *  dispatched paths must reproduce it exactly. */
+uint32_t
+referenceCrc32(const uint8_t *data, size_t size)
+{
+    static const std::vector<uint32_t> table = [] {
+        std::vector<uint32_t> t(256);
+        for (uint32_t i = 0; i < 256; i++) {
+            uint32_t c = i;
+            for (int k = 0; k < 8; k++)
+                c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+            t[i] = c;
+        }
+        return t;
+    }();
+    uint32_t c = 0xffffffffu;
+    for (size_t i = 0; i < size; i++)
+        c = table[(c ^ data[i]) & 0xff] ^ (c >> 8);
+    return c ^ 0xffffffffu;
+}
+
+std::vector<uint8_t>
+randomBytes(size_t size, uint64_t seed)
+{
+    std::vector<uint8_t> data(size);
+    Rng rng(seed);
+    for (auto &b : data)
+        b = static_cast<uint8_t>(rng.next());
+    return data;
+}
+
+TEST(Crc32, MatchesReferenceAtEveryLengthAndOffset)
+{
+    // Every length across the short-input cutoff, the 16-byte block
+    // tails and several 64-byte fold steps, from every alignment.
+    const std::vector<uint8_t> data = randomBytes(1024 + 16, 21);
+    for (size_t offset = 0; offset < 16; offset++) {
+        for (size_t len = 0; len <= 1024; len++) {
+            const uint8_t *p = data.data() + offset;
+            ASSERT_EQ(Crc32::of(p, len), referenceCrc32(p, len))
+                << "offset " << offset << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, MatchesReferenceOnLargeRandomLengths)
+{
+    const size_t kMax = size_t{1} << 20;
+    const std::vector<uint8_t> data = randomBytes(kMax, 34);
+    Rng rng(55);
+    std::vector<size_t> lengths = {kMax, kMax - 1, 358 * 1024};
+    for (int i = 0; i < 16; i++)
+        lengths.push_back(rng.nextBelow(kMax + 1));
+    for (size_t len : lengths) {
+        const size_t offset = rng.nextBelow(kMax - len + 1);
+        const uint8_t *p = data.data() + offset;
+        ASSERT_EQ(Crc32::of(p, len), referenceCrc32(p, len))
+            << "offset " << offset << " length " << len;
+    }
+
+    // Constant runs: the initial all-ones state must fold in right.
+    for (uint8_t fill : {uint8_t{0x00}, uint8_t{0xff}}) {
+        const std::vector<uint8_t> run(70000, fill);
+        EXPECT_EQ(Crc32::of(run), referenceCrc32(run.data(), run.size()))
+            << "fill " << int(fill);
+    }
+}
+
+TEST(Crc32, IncrementalRandomSplitsMatchReference)
+{
+    const std::vector<uint8_t> data = randomBytes(256 * 1024, 89);
+    const uint32_t expected = referenceCrc32(data.data(), data.size());
+    Rng rng(144);
+    for (int trial = 0; trial < 64; trial++) {
+        Crc32 crc;
+        size_t at = 0;
+        while (at < data.size()) {
+            // Mostly short pieces (under the 64-byte fold cutoff, odd
+            // sizes that leave the next call unaligned), some long.
+            size_t piece = rng.nextBool(0.7) ? rng.nextBelow(64)
+                                             : rng.nextBelow(20000);
+            piece = std::min(piece, data.size() - at);
+            crc.update(data.data() + at, piece);
+            at += piece;
+        }
+        ASSERT_EQ(crc.value(), expected) << "trial " << trial;
+    }
+}
+
+TEST(Crc32, PathNameNamesTheDispatchedPath)
+{
+    const std::string name = crc32PathName();
+    EXPECT_TRUE(name == "pclmul" || name == "slice-by-8") << name;
+    if (simdForcedScalar()) {
+        EXPECT_EQ(name, "slice-by-8");
+    }
 }
 
 TEST(Varint, RoundTripEdges)
