@@ -1,12 +1,16 @@
 #include "core/decoder.hh"
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <numeric>
 #include <stdexcept>
+#include <string_view>
 
 #include "compress/gpzip.hh"
 #include "core/tuned_array.hh"
+#include "genomics/kernels.hh"
 #include "util/bitio.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
@@ -26,78 +30,45 @@ ArchiveInfo::dnaStreamBytes() const
     return total;
 }
 
+namespace {
+
+/** Cap on the bases buffer reserved ahead of a read's decode, so a
+ *  corrupt length cannot drive a huge speculative allocation. */
+constexpr uint64_t kMaxBasesReserveBytes = uint64_t{1} << 20;
+
+/** Largest batch arena reserved before a chunk is decoded; past this
+ *  the arena grows as reads arrive, for the same reason. */
+constexpr uint64_t kMaxBatchReserveBytes = uint64_t{256} << 20;
+
+/** Host-stream field of stored-order read @p index (empty when the
+ *  stream was skipped or does not cover the read). */
+std::string_view
+hostField(const std::vector<std::string> &stream, uint64_t index)
+{
+    return index < stream.size() ? std::string_view(stream[index])
+                                 : std::string_view();
+}
+
+} // namespace
+
 /**
  * All stream cursors for one chunk. Chunks are byte-aligned and carry
  * no cross-chunk delta state (format.hh), so a cursor built from the
  * chunk-table offsets decodes its slice with no predecessor knowledge —
  * that independence is what the parallel decode path exploits.
  *
- * Construction fetches exactly this chunk's byte slices through the
- * decoder's ByteSource: zero-copy views when the source can provide
- * them (resident archives), owned copies otherwise (files, stripes).
+ * The cursor adopts exactly this chunk's byte slices as fetched by
+ * tryFetchChunkBytes(): zero-copy views when the source can provide
+ * them (resident archives), one owned buffer otherwise (files,
+ * stripes).
  */
 struct SageDecoder::ChunkCursor
 {
-    /** One stream's slice: either a view or an owned fetch. */
-    struct Span
-    {
-        std::vector<uint8_t> owned;
-        const uint8_t *data = nullptr;
-        size_t size = 0;
-    };
-
-    ChunkCursor(const SageDecoder &d, const ChunkSlice &slice)
-        : remaining(slice.readCount)
-    {
-        // Zero-copy views where the source provides them; everything
-        // else is gathered in one batched read (FileSource coalesces
-        // the slices into preadv calls instead of 13 separate preads).
-        std::array<ByteSource::Extent, kChunkStreamCount> fetch;
-        size_t fetches = 0;
-        for (unsigned s = 0; s < kChunkStreamCount; s++) {
-            const StreamExtent &extent = d.dnaExtents_[s];
-            const uint64_t offset = extent.offset + slice.offsets[s];
-            const uint64_t size = slice.sizes[s];
-            Span &span = spans[s];
-            span.size = static_cast<size_t>(size);
-            if (size == 0)
-                continue;
-            if (const uint8_t *direct =
-                    d.source_->view(offset, span.size)) {
-                span.data = direct;
-            } else {
-                span.owned.resize(span.size);
-                span.data = span.owned.data();
-                fetch[fetches++] = {offset, span.owned.data(),
-                                    span.size};
-            }
-        }
-        if (fetches > 0)
-            d.source_->readBatch(fetch.data(), fetches);
-        initReaders();
-    }
-
-    /** Adopt slices already fetched by the prefetcher. */
-    ChunkCursor(const ChunkSlice &slice, ChunkBytes &&bytes)
-        : remaining(slice.readCount)
-    {
-        for (unsigned s = 0; s < kChunkStreamCount; s++) {
-            Span &span = spans[s];
-            span.owned = std::move(bytes.streams[s]);
-            span.size = span.owned.size();
-            sage_assert(span.size == slice.sizes[s],
-                        "prefetched chunk slice size mismatch");
-            if (span.size > 0)
-                span.data = span.owned.data();
-        }
-        initReaders();
-    }
-
-    void
-    initReaders()
+    ChunkCursor(const ChunkSlice &slice, ChunkBytes &&fetched)
+        : bytes(std::move(fetched)), remaining(slice.readCount)
     {
         auto reader = [&](unsigned s) {
-            return BitReader(spans[s].data, spans[s].size);
+            return BitReader(bytes.data[s], bytes.sizes[s]);
         };
         flags = reader(kChunkFlags);
         mpa = reader(kChunkMpa);
@@ -113,9 +84,7 @@ struct SageDecoder::ChunkCursor
         mbta = reader(kChunkMbta);
     }
 
-    const Span &escape() const { return spans[kChunkEscape]; }
-
-    std::array<Span, kChunkStreamCount> spans;
+    ChunkBytes bytes;
     BitReader flags{nullptr, 0}, mpa{nullptr, 0}, mpga{nullptr, 0},
         rla{nullptr, 0}, rlga{nullptr, 0}, sga{nullptr, 0},
         sgga{nullptr, 0}, mca{nullptr, 0}, mcga{nullptr, 0},
@@ -189,24 +158,43 @@ SageDecoder::setPrefetchPool(ThreadPool *pool)
     prefetchPool_ = pool;
 }
 
+size_t
+SageDecoder::planChunkFetch(const ChunkSlice &slice, ChunkBytes &bytes,
+                            FetchExtents &fetch) const
+{
+    // Zero-copy views where the source provides them; everything else
+    // lands in one owned buffer through one batched read (FileSource
+    // coalesces the slices into preadv calls).
+    std::array<uint64_t, kChunkStreamCount> offsets{};
+    size_t owned = 0;
+    for (unsigned s = 0; s < kChunkStreamCount; s++) {
+        bytes.sizes[s] = static_cast<size_t>(slice.sizes[s]);
+        offsets[s] = dnaExtents_[s].offset + slice.offsets[s];
+        if (bytes.sizes[s] == 0)
+            continue;
+        bytes.data[s] = source_->view(offsets[s], bytes.sizes[s]);
+        if (!bytes.data[s])
+            owned += bytes.sizes[s];
+    }
+    bytes.owned.resize(owned);
+    size_t fetches = 0, at = 0;
+    for (unsigned s = 0; s < kChunkStreamCount; s++) {
+        if (bytes.sizes[s] == 0 || bytes.data[s])
+            continue;
+        uint8_t *dst = bytes.owned.data() + at;
+        bytes.data[s] = dst;
+        fetch[fetches++] = {offsets[s], dst, bytes.sizes[s]};
+        at += bytes.sizes[s];
+    }
+    return fetches;
+}
+
 StatusOr<SageDecoder::ChunkBytes>
 SageDecoder::tryFetchChunkBytes(const ChunkSlice &slice) const
 {
-    // One batched read covers all 13 stream slices (coalesced into
-    // preadv calls by FileSource).
     ChunkBytes bytes;
-    std::array<ByteSource::Extent, kChunkStreamCount> fetch;
-    size_t fetches = 0;
-    for (unsigned s = 0; s < kChunkStreamCount; s++) {
-        const uint64_t size = slice.sizes[s];
-        if (size == 0)
-            continue;
-        const uint64_t offset =
-            dnaExtents_[s].offset + slice.offsets[s];
-        bytes.streams[s].resize(static_cast<size_t>(size));
-        fetch[fetches++] = {offset, bytes.streams[s].data(),
-                            static_cast<size_t>(size)};
-    }
+    FetchExtents fetch;
+    const size_t fetches = planChunkFetch(slice, bytes, fetch);
     if (fetches > 0) {
         Status status = source_->tryReadBatch(fetch.data(), fetches);
         if (!status.ok())
@@ -218,10 +206,12 @@ SageDecoder::tryFetchChunkBytes(const ChunkSlice &slice) const
 SageDecoder::ChunkBytes
 SageDecoder::fetchChunkBytes(const ChunkSlice &slice) const
 {
-    StatusOr<ChunkBytes> bytes = tryFetchChunkBytes(slice);
-    if (!bytes.ok())
-        sage_fatal(bytes.status().message());
-    return std::move(bytes.value());
+    ChunkBytes bytes;
+    FetchExtents fetch;
+    const size_t fetches = planChunkFetch(slice, bytes, fetch);
+    if (fetches > 0)
+        source_->readBatch(fetch.data(), fetches);
+    return bytes;
 }
 
 void
@@ -272,7 +262,8 @@ std::unique_ptr<SageDecoder::ChunkCursor>
 SageDecoder::openChunk(size_t index)
 {
     if (!prefetchPool_)
-        return std::make_unique<ChunkCursor>(*this, chunks_[index]);
+        return std::make_unique<ChunkCursor>(
+            chunks_[index], fetchChunkBytes(chunks_[index]));
 
     // Double buffering: adopt the slices fetched behind chunk index-1
     // (or fetch in line on a miss — first chunk, or a range jump),
@@ -486,12 +477,23 @@ SageDecoder::chunkCompressedBytes() const
     return out;
 }
 
+uint64_t
+SageDecoder::decodeLength(BitReader &rla, BitReader &rlga) const
+{
+    const int64_t delta = zigzagDecode(lenCodec_->decode(rla, rlga));
+    const uint64_t length = static_cast<uint64_t>(
+        static_cast<int64_t>(info_.params.modalReadLength) + delta);
+    // A corrupt length delta must not drive multi-gigabyte appends or
+    // wrap the packed-size arithmetic downstream.
+    sage_check_data(length <= (uint64_t{1} << 31), Corrupt,
+                    "read length ", length, " out of range");
+    return length;
+}
+
 Read
 SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
                        uint64_t &events, bool consume_host)
 {
-    const SageParams &params = info_.params;
-
     Read read;
     // On the one-shot paths headers and quality strings are emitted
     // exactly once per read, so they move out of the decoder; random
@@ -500,12 +502,23 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
         read.header = consume_host ? std::move(headers_[read_index])
                                    : headers_[read_index];
     }
-    auto take_quals = [&] {
-        if (read_index < quals_.size()) {
-            read.quals = consume_host ? std::move(quals_[read_index])
-                                      : quals_[read_index];
-        }
-    };
+    // Reverse strands flip through the SIMD kernel without an extra
+    // per-read allocation (thread-local scratch in alphabet.cc).
+    if (decodeOriented(cur, events, read.bases))
+        reverseComplementInPlace(read.bases);
+    if (read_index < quals_.size()) {
+        read.quals = consume_host ? std::move(quals_[read_index])
+                                  : quals_[read_index];
+    }
+    return read;
+}
+
+bool
+SageDecoder::decodeOriented(ChunkCursor &cur, uint64_t &events,
+                            std::string &bases) const
+{
+    const SageParams &params = info_.params;
+    bases.clear();
 
     // ---- Flags --------------------------------------------------------
     const bool reverse = cur.flags.readBit();
@@ -522,32 +535,25 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
         escaped = cur.flags.readBit();
 
     // ---- Read length ----------------------------------------------------
-    uint64_t length = params.modalReadLength;
-    if (!params.constantReadLength) {
-        const int64_t len_delta =
-            zigzagDecode(lenCodec_->decode(cur.rla, cur.rlga));
-        length = static_cast<uint64_t>(
-            static_cast<int64_t>(params.modalReadLength) + len_delta);
-    }
-    // A corrupt length delta must not drive multi-gigabyte appends or
-    // wrap the packed-size arithmetic below.
-    sage_check_data(length <= (uint64_t{1} << 31), Corrupt,
-                    "read length ", length, " out of range");
+    const uint64_t length = params.constantReadLength
+        ? params.modalReadLength : decodeLength(cur.rla, cur.rlga);
 
     // Escape payloads are 3-bit packed into whole bytes, so the read
-    // copies out of the chunk's escape slice directly instead of 8 bits
-    // at a time.
+    // unpacks out of the chunk's escape slice directly instead of 8
+    // bits at a time. Any consensus bases already emitted for an
+    // earlier segment are discarded: the escape carries the whole read.
     auto take_escape = [&] {
         const size_t packed_bytes = (length * 3 + 7) / 8;
-        const ChunkCursor::Span &escape = cur.escape();
-        sage_check_data(packed_bytes <= escape.size &&
-                        cur.escapeByte <= escape.size - packed_bytes,
+        const size_t escape_size = cur.bytes.sizes[kChunkEscape];
+        sage_check_data(packed_bytes <= escape_size &&
+                        cur.escapeByte <= escape_size - packed_bytes,
                         Truncated, "escape stream underrun");
-        read.bases = unpackSequence(escape.data + cur.escapeByte,
-                                    packed_bytes, length,
-                                    OutputFormat::ThreeBit);
+        bases.clear();
+        bases.resize(static_cast<size_t>(length));
+        kernels::unpack3bit(cur.bytes.data[kChunkEscape] + cur.escapeByte,
+                            packed_bytes, static_cast<size_t>(length),
+                            bases.data());
         cur.escapeByte += packed_bytes;
-        take_quals();
     };
 
     // ---- Matching position ---------------------------------------------
@@ -558,12 +564,17 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
     if (!params.cornerTrick && escaped) {
         // Pre-O4 escape: payload only.
         take_escape();
-        return read;
+        return false;
     }
 
     // ---- Segment table ---------------------------------------------------
+    // maxSegments is one byte of the params stream, so the table fits
+    // a fixed stack array (no per-read allocation).
     struct SegInfo { uint64_t consPos; uint64_t readLen; };
-    std::vector<SegInfo> segs(1 + extra_segments);
+    std::array<SegInfo, 256> segs;
+    sage_check_data(extra_segments < segs.size(), Corrupt,
+                    "segment count ", extra_segments + 1, " out of range");
+    const unsigned seg_count = 1 + extra_segments;
     segs[0].consPos = primary;
     uint64_t other_len = 0;
     for (unsigned s = 1; s <= extra_segments; s++) {
@@ -579,12 +590,12 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
     segs[0].readLen = length - other_len;
 
     // ---- Events + reconstruction (the RCU walk) --------------------------
-    std::string oriented;
-    oriented.reserve(static_cast<size_t>(
-        std::min<uint64_t>(length, uint64_t{1} << 20)));
+    bases.reserve(static_cast<size_t>(
+        std::min(length, kMaxBasesReserveBytes)));
     bool first_event_of_read = true;
 
-    for (const SegInfo &seg : segs) {
+    for (unsigned s = 0; s < seg_count; s++) {
+        const SegInfo &seg = segs[s];
         const uint64_t count = countCodec_->decode(cur.mca, cur.mcga);
         uint64_t cons_j = seg.consPos;
         uint64_t read_i = 0;   // Position within this segment.
@@ -605,7 +616,7 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
                     // Corner case: whole read comes from the escape
                     // stream, 3-bit packed.
                     take_escape();
-                    return read;
+                    return false;
                 }
             }
             first_event_of_read = false;
@@ -617,8 +628,8 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
                 sage_check_data(run <= consensus_.size() &&
                                 cons_j <= consensus_.size() - run,
                                 Corrupt, "decoder ran off consensus");
-                oriented.append(consensus_, static_cast<size_t>(cons_j),
-                                static_cast<size_t>(run));
+                bases.append(consensus_, static_cast<size_t>(cons_j),
+                             static_cast<size_t>(run));
                 cons_j += run;
                 read_i = event_pos;
             }
@@ -664,7 +675,7 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
 
             switch (type) {
               case EditType::Sub:
-                oriented.push_back(sub_base);
+                bases.push_back(sub_base);
                 read_i++;
                 cons_j++;
                 break;
@@ -673,7 +684,7 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
                 // the indel marker (inferTypes) or after the explicit
                 // type code (pre-O3).
                 for (uint64_t b = 0; b < block_len; b++) {
-                    oriented.push_back(codeToBase(
+                    bases.push_back(codeToBase(
                         static_cast<uint8_t>(cur.mbta.readBits(2))));
                 }
                 read_i += block_len;
@@ -689,19 +700,13 @@ SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
             sage_check_data(run <= consensus_.size() &&
                             cons_j <= consensus_.size() - run,
                             Corrupt, "decoder ran off consensus at tail");
-            oriented.append(consensus_, static_cast<size_t>(cons_j),
-                            static_cast<size_t>(run));
+            bases.append(consensus_, static_cast<size_t>(cons_j),
+                         static_cast<size_t>(run));
         }
     }
 
     cur.prevPrimary = primary;
-    // Reverse strands flip through the SIMD kernel without an extra
-    // per-read allocation (thread-local scratch in alphabet.cc).
-    if (reverse)
-        reverseComplementInPlace(oriented);
-    read.bases = std::move(oriented);
-    take_quals();
-    return read;
+    return reverse;
 }
 
 Read
@@ -739,7 +744,7 @@ SageDecoder::decodeParallel(ThreadPool *pool, size_t first, size_t count,
     std::vector<uint64_t> chunk_events(count, 0);
     pool->parallelFor(count, [&](size_t i) {
         const ChunkSlice &slice = chunks_[first + i];
-        ChunkCursor cur(*this, slice);
+        ChunkCursor cur(slice, fetchChunkBytes(slice));
         for (uint64_t r = 0; r < slice.readCount; r++) {
             const uint64_t idx = slice.firstRead + r;
             sink(idx, decodeOne(cur, idx, chunk_events[i],
@@ -785,16 +790,29 @@ SageDecoder::decodeChunks(size_t first, size_t count, ThreadPool *pool)
     return rs;
 }
 
-std::vector<Read>
-SageDecoder::decodeChunkShared(size_t chunk)
+uint64_t
+SageDecoder::measureBases(const ChunkCursor &cur, uint64_t reads,
+                          uint64_t &max_length) const
 {
-    StatusOr<std::vector<Read>> reads = tryDecodeChunkShared(chunk);
-    if (!reads.ok())
-        sage_fatal(reads.status().message());
-    return std::move(reads.value());
+    const SageParams &params = info_.params;
+    if (params.constantReadLength) {
+        max_length = reads == 0 ? 0 : params.modalReadLength;
+        return reads * params.modalReadLength;
+    }
+    // The length stream is independent of every other stream, so
+    // private copies of its readers walk it ahead of the decode.
+    BitReader rla = cur.rla, rlga = cur.rlga;
+    uint64_t total = 0;
+    max_length = 0;
+    for (uint64_t r = 0; r < reads; r++) {
+        const uint64_t length = decodeLength(rla, rlga);
+        total += length;
+        max_length = std::max(max_length, length);
+    }
+    return total;
 }
 
-StatusOr<std::vector<Read>>
+StatusOr<ReadBatch>
 SageDecoder::tryDecodeChunkShared(size_t chunk)
 {
     if (chunk >= chunks_.size()) {
@@ -806,7 +824,7 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
     // The fetch goes through the non-fatal source path so a failing
     // disk reports IoError here instead of killing the process; decode
     // errors on corrupt bytes surface as StatusError from the bit
-    // readers and bounds checks in decodeOne.
+    // readers and bounds checks in decodeOriented.
     StatusOr<ChunkBytes> bytes = tryFetchChunkBytes(slice);
     if (!bytes.ok())
         return bytes.status();
@@ -815,14 +833,46 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
         // writes decoder state, which is what makes concurrent calls
         // safe.
         ChunkCursor cur(slice, std::move(bytes.value()));
-        std::vector<Read> reads;
-        reads.reserve(static_cast<size_t>(slice.readCount));
+
+        // Size the batch exactly before decoding: the host fields are
+        // already resident, and a pre-pass over the length stream
+        // gives every read's base count.
+        uint64_t host_bytes = 0;
+        for (uint64_t r = 0; r < slice.readCount; r++) {
+            host_bytes += hostField(headers_, slice.firstRead + r).size() +
+                hostField(quals_, slice.firstRead + r).size();
+        }
+        uint64_t max_length = 0;
+        const uint64_t base_bytes =
+            measureBases(cur, slice.readCount, max_length);
+        ReadBatch batch;
+        batch.reserve(static_cast<size_t>(slice.readCount),
+                      std::min(host_bytes + base_bytes,
+                               kMaxBatchReserveBytes));
+
+        // Each read decodes into one reused scratch string and is
+        // copied (or reverse-complemented) straight into its arena
+        // slot, so the chunk costs a constant number of allocations.
+        std::string scratch;
+        scratch.reserve(static_cast<size_t>(
+            std::min(max_length, kMaxBasesReserveBytes)));
         uint64_t events = 0;
         for (uint64_t r = 0; r < slice.readCount; r++) {
-            reads.push_back(decodeOne(cur, slice.firstRead + r, events,
-                                      /*consume_host=*/false));
+            const uint64_t index = slice.firstRead + r;
+            const bool reverse = decodeOriented(cur, events, scratch);
+            char *slot = batch.append(hostField(headers_, index),
+                                      scratch.size(),
+                                      hostField(quals_, index));
+            if (scratch.empty())
+                continue;
+            if (reverse)
+                kernels::reverseComplement(scratch.data(), scratch.size(),
+                                           slot);
+            else
+                std::memcpy(slot, scratch.data(), scratch.size());
         }
-        return StatusOr<std::vector<Read>>(std::move(reads));
+        batch.shrinkToFit();
+        return StatusOr<ReadBatch>(std::move(batch));
     } catch (const StatusError &err) {
         return err.status();
     } catch (const std::bad_alloc &) {

@@ -44,11 +44,13 @@
 #include "core/format.hh"
 #include "genomics/alphabet.hh"
 #include "genomics/read.hh"
+#include "genomics/read_batch.hh"
 #include "io/byte_stream.hh"
 #include "io/container.hh"
 
 namespace sage {
 
+class BitReader;
 class ThreadPool;
 
 /** Per-archive structural info used by the hardware timing model. */
@@ -144,26 +146,28 @@ class SageDecoder
                          ThreadPool *pool = nullptr);
 
     /**
-     * Decode chunk @p chunk alone into stored-order reads — the
-     * service layer's decode-into-cache entry point. Unlike the other
-     * decode calls this touches no sequential, prefetch or event
-     * state, so any number of threads may call it concurrently on one
-     * decoder (each call fetches its own byte slices through the
-     * thread-safe ByteSource and copies headers/quality rather than
-     * consuming them; the same chunk decodes repeatably). Must not be
-     * mixed with a concurrent decodeAll()/decodeAllPacked(), which
-     * move the host streams out. Decoded mismatch events are not
-     * added to eventsDecoded().
+     * Decode chunk @p chunk alone into one flat ReadBatch of
+     * stored-order reads — the service layer's decode-into-cache entry
+     * point. The batch is sized exactly before decoding (the host
+     * fields are resident and a pre-pass over the length stream gives
+     * the base count), each read decodes into one reused scratch
+     * string and is copied into its arena slot, so a chunk costs a
+     * constant handful of allocations whatever its read count.
+     *
+     * Unlike the other decode calls this touches no sequential,
+     * prefetch or event state, so any number of threads may call it
+     * concurrently on one decoder (each call fetches its own byte
+     * slices through the thread-safe ByteSource and copies
+     * headers/quality rather than consuming them; the same chunk
+     * decodes repeatably). Must not be mixed with a concurrent
+     * decodeAll()/decodeAllPacked(), which move the host streams out.
+     * Decoded mismatch events are not added to eventsDecoded().
+     *
+     * I/O failures and corrupt chunk data come back as a Status
+     * instead of aborting, so one bad chunk degrades one request, not
+     * the process.
      */
-    std::vector<Read> decodeChunkShared(size_t chunk);
-
-    /**
-     * Non-fatal flavor of decodeChunkShared(): I/O failures and
-     * corrupt chunk data come back as a Status instead of aborting,
-     * so one bad chunk degrades one request, not the process. Same
-     * thread-safety contract as decodeChunkShared().
-     */
-    StatusOr<std::vector<Read>> tryDecodeChunkShared(size_t chunk);
+    StatusOr<ReadBatch> tryDecodeChunkShared(size_t chunk);
 
     /**
      * Decode everything into a ReadSet (restores original order when
@@ -217,10 +221,14 @@ class SageDecoder
         std::array<uint64_t, kChunkStreamCount> sizes{};
     };
 
-    /** One chunk's byte slices, owned (the prefetcher's payload). */
+    /** One chunk's 13 stream slices: zero-copy views where the source
+     *  provides them, otherwise copies in one owned buffer (moving the
+     *  struct moves the buffer, so the slice pointers stay valid). */
     struct ChunkBytes
     {
-        std::array<std::vector<uint8_t>, kChunkStreamCount> streams;
+        std::vector<uint8_t> owned;
+        std::array<const uint8_t *, kChunkStreamCount> data{};
+        std::array<size_t, kChunkStreamCount> sizes{};
     };
 
     /** tryOpen's blank instance; every member has a safe default. */
@@ -232,7 +240,17 @@ class SageDecoder
      *  untrusted container framing, stream tables and host streams. */
     Status tryParseContainer(bool dna_only);
 
-    /** Synchronously read every stream slice of @p slice. */
+    using FetchExtents =
+        std::array<ByteSource::Extent, kChunkStreamCount>;
+
+    /** Point @p bytes at @p slice's stream slices: views where the
+     *  source has them, the rest at @p bytes.owned, each listed in
+     *  @p fetch for one batched read. Returns the extents listed. */
+    size_t planChunkFetch(const ChunkSlice &slice, ChunkBytes &bytes,
+                          FetchExtents &fetch) const;
+
+    /** Synchronously fetch every stream slice of @p slice through the
+     *  source's fatal read path (the sequential and prefetch decode). */
     ChunkBytes fetchChunkBytes(const ChunkSlice &slice) const;
 
     /** Non-fatal fetch of every stream slice of @p slice. */
@@ -258,6 +276,23 @@ class SageDecoder
      *  (repeatable random access). */
     Read decodeOne(ChunkCursor &cur, uint64_t read_index,
                    uint64_t &events, bool consume_host);
+
+    /** Decode the next read's bases via @p cur into @p bases (cleared
+     *  first; its capacity is reused) in stored orientation. Returns
+     *  true when the read is a reverse strand, i.e. @p bases still
+     *  needs reverse-complementing. */
+    bool decodeOriented(ChunkCursor &cur, uint64_t &events,
+                        std::string &bases) const;
+
+    /** Decode one variable read length from the length stream
+     *  (Corrupt past 2^31 bases). */
+    uint64_t decodeLength(BitReader &rla, BitReader &rlga) const;
+
+    /** Base count of the next @p reads reads of @p cur (their longest
+     *  in @p max_length), from a pre-pass over the length stream that
+     *  leaves @p cur untouched. */
+    uint64_t measureBases(const ChunkCursor &cur, uint64_t reads,
+                          uint64_t &max_length) const;
 
     /** True when a chunk range may fan out across @p pool. */
     bool canDecodeParallel(const ThreadPool *pool, size_t count) const;

@@ -214,6 +214,8 @@ FileSource::tryReadBatch(const Extent *extents, size_t count) const
 
     std::vector<uint8_t> scratch; // Gap landing zone, sized on demand.
     std::vector<struct iovec> iov;
+    // At most one gap iovec per extent: one allocation for every run.
+    iov.reserve(std::min(2 * order.size(), kBatchMaxIovecs));
     size_t r = 0;
     while (r < order.size()) {
         // Open a run and extend it while the next extent starts within

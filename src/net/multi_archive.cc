@@ -290,7 +290,7 @@ Admission
 MultiArchiveService::admitRange(uint32_t archive, uint64_t first,
                                 uint64_t count,
                                 const RequestOptions &options,
-                                std::function<void(ReadResult)> done,
+                                std::function<void(SpanResult)> done,
                                 Status *reject, bool chunk_addressed,
                                 uint64_t chunk)
 {
@@ -346,7 +346,7 @@ MultiArchiveService::admitRange(uint32_t archive, uint64_t first,
     // file) alive across eviction until this request completes.
     open->service->readRangeCallback(
         first, count,
-        [this, open, done = std::move(done)](ReadResult result) {
+        [this, open, done = std::move(done)](SpanResult result) {
             done(std::move(result));
             finishRequest();
         },
@@ -358,7 +358,7 @@ Admission
 MultiArchiveService::readRange(uint32_t archive, uint64_t first,
                                uint64_t count,
                                const RequestOptions &options,
-                               std::function<void(ReadResult)> done,
+                               std::function<void(SpanResult)> done,
                                Status *reject)
 {
     return admitRange(archive, first, count, options, std::move(done),
@@ -368,7 +368,7 @@ MultiArchiveService::readRange(uint32_t archive, uint64_t first,
 Admission
 MultiArchiveService::readChunk(uint32_t archive, uint64_t chunk,
                                const RequestOptions &options,
-                               std::function<void(ReadResult)> done,
+                               std::function<void(SpanResult)> done,
                                Status *reject)
 {
     return admitRange(archive, 0, 0, options, std::move(done), reject,
@@ -385,8 +385,8 @@ MultiArchiveService::readRangeSync(uint32_t archive, uint64_t first,
     auto future = promise.get_future();
     outcome.admission = readRange(
         archive, first, count, options,
-        [&promise](ReadResult result) {
-            promise.set_value(std::move(result));
+        [&promise](SpanResult result) {
+            promise.set_value(materialize(result));
         },
         &outcome.reject);
     if (outcome.admission == Admission::Admitted)
@@ -403,8 +403,8 @@ MultiArchiveService::readChunkSync(uint32_t archive, uint64_t chunk,
     auto future = promise.get_future();
     outcome.admission = readChunk(
         archive, chunk, options,
-        [&promise](ReadResult result) {
-            promise.set_value(std::move(result));
+        [&promise](SpanResult result) {
+            promise.set_value(materialize(result));
         },
         &outcome.reject);
     if (outcome.admission == Admission::Admitted)

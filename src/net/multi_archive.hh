@@ -168,23 +168,25 @@ class MultiArchiveService
 
     /**
      * Admit-or-shed a range read. On Admitted, @p done runs exactly
-     * once on a worker thread with the outcome; on any other verdict
+     * once on a worker thread with the outcome as pinned spans of the
+     * archive's cached chunks (no read copied); on any other verdict
      * @p done is never called and @p reject (when non-null) holds the
      * reason. @p done must not block on synchronous requests to this
      * service (it holds a pool worker).
      */
     Admission readRange(uint32_t archive, uint64_t first,
                         uint64_t count, const RequestOptions &options,
-                        std::function<void(ReadResult)> done,
+                        std::function<void(SpanResult)> done,
                         Status *reject = nullptr);
 
     /** Chunk flavor (translated to the chunk's read span). */
     Admission readChunk(uint32_t archive, uint64_t chunk,
                         const RequestOptions &options,
-                        std::function<void(ReadResult)> done,
+                        std::function<void(SpanResult)> done,
                         Status *reject = nullptr);
 
-    /** Blocking conveniences for tests and in-process callers. */
+    /** Blocking conveniences for tests and in-process callers; the
+     *  result holds owned copies of the reads. */
     struct SyncOutcome
     {
         Admission admission = Admission::Admitted;
@@ -260,7 +262,7 @@ class MultiArchiveService
     /** Shared admit/enqueue tail of readRange/readChunk. */
     Admission admitRange(uint32_t archive, uint64_t first,
                          uint64_t count, const RequestOptions &options,
-                         std::function<void(ReadResult)> done,
+                         std::function<void(SpanResult)> done,
                          Status *reject, bool chunk_addressed,
                          uint64_t chunk);
 

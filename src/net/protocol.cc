@@ -1,6 +1,7 @@
 #include "net/protocol.hh"
 
 #include <cstring>
+#include <string_view>
 
 #include "util/crc32.hh"
 
@@ -384,43 +385,95 @@ appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
     endFrame(out, at);
 }
 
+namespace {
+
+/** Call @p visit(header, bases, quals) for each read, in order. */
+template <typename Visit>
+void
+forEachRead(const std::vector<Read> &reads, const Visit &visit)
+{
+    for (const Read &read : reads)
+        visit(read.header, read.bases, read.quals);
+}
+
+template <typename Visit>
+void
+forEachRead(const std::vector<ReadSpan> &spans, const Visit &visit)
+{
+    for (const ReadSpan &span : spans) {
+        const ReadBatch &batch = span.batch();
+        for (size_t i = span.begin; i < span.begin + span.count; i++)
+            visit(batch.header(i), batch.bases(i), batch.quals(i));
+    }
+}
+
+/**
+ * The one read-reply frame writer. A first pass checks every read
+ * against the wire's field widths and sums the frame size, so a
+ * refused reply leaves @p out untouched and an accepted one is
+ * reserved exactly once; the second pass copies each field straight
+ * from its source, with no intermediate Read.
+ */
+template <typename Reads>
+Status
+writeReadReply(std::vector<uint8_t> &out, MsgType request_type,
+               uint64_t request_id, const Reads &reads)
+{
+    uint64_t frame_bytes =
+        kReplyHeaderBytes + sizeof(uint32_t) /* read count */ +
+        kFrameCrcBytes;
+    uint64_t count = 0;
+    Status refused;
+    forEachRead(reads, [&](std::string_view header, std::string_view bases,
+                           std::string_view quals) {
+        if (header.size() > kMaxReadHeaderBytes && refused.ok()) {
+            refused = Status::outOfRange(
+                "read ", count, " of the reply has a ", header.size(),
+                "-byte header; the wire limit is ", kMaxReadHeaderBytes,
+                " bytes");
+        }
+        frame_bytes += kReadRecordBytes + header.size() + bases.size() +
+            quals.size();
+        count++;
+    });
+    if (!refused.ok())
+        return refused;
+    if (frame_bytes > kMaxFrameBytes)
+        return Status::outOfRange(
+            "a reply of ", count, " reads needs ", frame_bytes,
+            " frame bytes; the wire limit is ", kMaxFrameBytes, " bytes");
+
+    out.reserve(out.size() + kLenBytes + static_cast<size_t>(frame_bytes));
+    const size_t at = beginFrame(out);
+    putReplyHeader(out, request_type, WireStatus::Ok, request_id);
+    putU32(out, static_cast<uint32_t>(count));
+    forEachRead(reads, [&](std::string_view header, std::string_view bases,
+                           std::string_view quals) {
+        putU16(out, static_cast<uint16_t>(header.size()));
+        putU32(out, static_cast<uint32_t>(bases.size()));
+        putU32(out, static_cast<uint32_t>(quals.size()));
+        putBytes(out, header.data(), header.size());
+        putBytes(out, bases.data(), bases.size());
+        putBytes(out, quals.data(), quals.size());
+    });
+    endFrame(out, at);
+    return Status();
+}
+
+} // namespace
+
 Status
 appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
                 uint64_t request_id, const std::vector<Read> &reads)
 {
-    // Check every read against the wire's field widths before writing
-    // a byte, so a refused reply leaves @p out untouched.
-    uint64_t frame_bytes =
-        kReplyHeaderBytes + sizeof(uint32_t) /* read count */ +
-        kFrameCrcBytes;
-    for (size_t i = 0; i < reads.size(); i++) {
-        const Read &read = reads[i];
-        if (read.header.size() > kMaxReadHeaderBytes)
-            return Status::outOfRange(
-                "read ", i, " of the reply has a ", read.header.size(),
-                "-byte header; the wire limit is ", kMaxReadHeaderBytes,
-                " bytes");
-        frame_bytes += kReadRecordBytes + read.header.size() +
-            read.bases.size() + read.quals.size();
-    }
-    if (frame_bytes > kMaxFrameBytes)
-        return Status::outOfRange(
-            "a reply of ", reads.size(), " reads needs ", frame_bytes,
-            " frame bytes; the wire limit is ", kMaxFrameBytes, " bytes");
+    return writeReadReply(out, request_type, request_id, reads);
+}
 
-    const size_t at = beginFrame(out);
-    putReplyHeader(out, request_type, WireStatus::Ok, request_id);
-    putU32(out, static_cast<uint32_t>(reads.size()));
-    for (const Read &read : reads) {
-        putU16(out, static_cast<uint16_t>(read.header.size()));
-        putU32(out, static_cast<uint32_t>(read.bases.size()));
-        putU32(out, static_cast<uint32_t>(read.quals.size()));
-        putBytes(out, read.header.data(), read.header.size());
-        putBytes(out, read.bases.data(), read.bases.size());
-        putBytes(out, read.quals.data(), read.quals.size());
-    }
-    endFrame(out, at);
-    return Status();
+Status
+appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
+                uint64_t request_id, const std::vector<ReadSpan> &spans)
+{
+    return writeReadReply(out, request_type, request_id, spans);
 }
 
 void

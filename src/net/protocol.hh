@@ -62,6 +62,7 @@
 #include <vector>
 
 #include "genomics/read.hh"
+#include "service/chunk_cache.hh"
 #include "service/qos.hh"
 #include "util/status.hh"
 
@@ -249,10 +250,18 @@ void appendOpenReply(std::vector<uint8_t> &out, uint64_t request_id,
 
 /** OutOfRange, with @p out untouched, when a read's header exceeds
  *  kMaxReadHeaderBytes or the frame would exceed kMaxFrameBytes — the
- *  wire fields could not carry it. */
+ *  wire fields could not carry it. The frame is sized exactly before
+ *  it is written, so @p out grows at most once. */
 Status appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
                        uint64_t request_id,
                        const std::vector<Read> &reads);
+
+/** The same frame, copied field by field straight out of pinned
+ *  spans of cached ReadBatches (the server's read completion): no
+ *  Read is built, and the frame is the only allocation. */
+Status appendReadReply(std::vector<uint8_t> &out, MsgType request_type,
+                       uint64_t request_id,
+                       const std::vector<ReadSpan> &spans);
 
 void appendStatReply(std::vector<uint8_t> &out, uint64_t request_id,
                      const WireServerStats &stats);

@@ -796,13 +796,15 @@ Server::handleRead(Conn &conn, const RequestFrame &request)
     qos.cancel = drainCancel_.token();
 
     pendingCallbacks_.fetch_add(1, std::memory_order_acq_rel);
-    auto complete = [this, conn_id = conn.id, request](ReadResult result) {
+    auto complete = [this, conn_id = conn.id, request](SpanResult result) {
         const MsgType type = request.type;
         const uint64_t request_id = request.requestId;
         std::vector<uint8_t> frame;
         if (result.status == RequestStatus::Ok) {
+            // Encoded straight from the pinned cache spans: the frame
+            // is the only allocation, and no read is copied twice.
             const Status encoded =
-                appendReadReply(frame, type, request_id, result.reads);
+                appendReadReply(frame, type, request_id, result.spans);
             // A read the wire cannot carry fails this request only;
             // the connection stays usable.
             if (!encoded.ok())

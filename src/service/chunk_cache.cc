@@ -9,17 +9,22 @@
 namespace sage {
 
 uint64_t
+DecodedChunk::residentBytes(const ReadBatch &batch)
+{
+    return batch.footprintBytes() + sizeof(DecodedChunk);
+}
+
+uint64_t
 DecodedChunk::residentBytes(const std::vector<Read> &reads)
 {
-    // String payloads plus the Read object itself; small-string
-    // storage is approximated by the payload size, which is close
-    // enough for budget enforcement.
-    uint64_t bytes = 0;
-    for (const Read &read : reads) {
-        bytes += read.bases.size() + read.quals.size() +
-            read.header.size() + sizeof(Read);
-    }
-    return bytes;
+    return ReadBatch::footprintBytes(reads) + sizeof(DecodedChunk);
+}
+
+void
+ReadSpan::materialize(std::vector<Read> &out) const
+{
+    for (size_t i = begin; i < begin + count; i++)
+        out.push_back(chunk->batch.read(i));
 }
 
 ChunkCache::ChunkCache(uint64_t budget_bytes, unsigned shards,

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "genomics/read.hh"
+#include "genomics/read_batch.hh"
 #include "service/qos.hh"
 #include "util/status.hh"
 
@@ -49,16 +50,47 @@ namespace sage {
 /** One decoded, immutable archive chunk (stored-order reads). */
 struct DecodedChunk
 {
-    std::vector<Read> reads;
-    uint64_t firstRead = 0;  ///< Stored-order index of reads[0].
-    uint64_t bytes = 0;      ///< Resident-size estimate for budgeting.
+    ReadBatch batch;
+    uint64_t firstRead = 0;  ///< Stored-order index of batch read 0.
+    uint64_t bytes = 0;      ///< What the cache budget is charged.
 
-    /** Estimate the resident footprint of @p reads (string payloads
-     *  plus per-read bookkeeping). */
+    /** Cache charge of a chunk holding @p batch: its heap footprint
+     *  (arena and offsets as allocated) plus this struct. */
+    static uint64_t residentBytes(const ReadBatch &batch);
+
+    /** Cache charge of a chunk holding exactly @p reads (the same
+     *  figure residentBytes(batch) gives once they are decoded into
+     *  an exactly sized batch). */
     static uint64_t residentBytes(const std::vector<Read> &reads);
 };
 
 using DecodedChunkPtr = std::shared_ptr<const DecodedChunk>;
+
+/**
+ * Reads [@p begin, @p begin + @p count) of one decoded chunk's batch,
+ * pinned: the span holds the chunk, so it stays readable after the
+ * cache evicts it (or never retained it, at a zero budget).
+ */
+struct ReadSpan
+{
+    DecodedChunkPtr chunk;
+    size_t begin = 0;
+    size_t count = 0;
+
+    const ReadBatch &batch() const { return chunk->batch; }
+
+    /** Header + bases + quality bytes of the span's reads. */
+    uint64_t
+    payloadBytes() const
+    {
+        return chunk->batch.payloadBytes(begin, count);
+    }
+
+    /** Append owned copies of the span's reads to @p out — the one
+     *  place the serving path turns batch reads back into Reads
+     *  (callers reserve @p out for every span they append). */
+    void materialize(std::vector<Read> &out) const;
+};
 
 /** Aggregated cache counters (snapshot; see ChunkCache::stats). */
 struct ChunkCacheStats

@@ -10,19 +10,35 @@
 
 namespace sage {
 
-namespace {
-
-/** Payload bytes a read vector delivers to a client. */
 uint64_t
-payloadBytes(const std::vector<Read> &reads)
+SpanResult::readCount() const
+{
+    uint64_t reads = 0;
+    for (const ReadSpan &span : spans)
+        reads += span.count;
+    return reads;
+}
+
+uint64_t
+SpanResult::payloadBytes() const
 {
     uint64_t bytes = 0;
-    for (const Read &read : reads)
-        bytes += read.bases.size() + read.quals.size();
+    for (const ReadSpan &span : spans)
+        bytes += span.payloadBytes();
     return bytes;
 }
 
-} // namespace
+ReadResult
+materialize(const SpanResult &result)
+{
+    ReadResult out;
+    out.status = result.status;
+    out.error = result.error;
+    out.reads.reserve(static_cast<size_t>(result.readCount()));
+    for (const ReadSpan &span : result.spans)
+        span.materialize(out.reads);
+    return out;
+}
 
 // ---------------------------------------------------------------------
 // Construction / teardown
@@ -167,12 +183,11 @@ SageArchiveService::chunkForRead(uint64_t read_index) const
     return static_cast<size_t>(it - chunkFirstRead_.begin()) - 1;
 }
 
-StatusOr<std::vector<Read>>
+StatusOr<ReadBatch>
 SageArchiveService::decodeChunkWithRetry(size_t chunk)
 {
     for (unsigned attempt = 0;; attempt++) {
-        StatusOr<std::vector<Read>> reads =
-            decoder_->tryDecodeChunkShared(chunk);
+        StatusOr<ReadBatch> reads = decoder_->tryDecodeChunkShared(chunk);
         if (reads.ok())
             return reads;
         // Only plain I/O errors are worth retrying: a flaky device
@@ -212,15 +227,13 @@ SageArchiveService::fetchChunk(size_t chunk, const RequestOptions *qos,
     return cache_.getOrDecode(
         chunk,
         [this](size_t index) -> StatusOr<DecodedChunkPtr> {
-            StatusOr<std::vector<Read>> reads =
-                decodeChunkWithRetry(index);
-            if (!reads.ok())
-                return reads.status();
+            StatusOr<ReadBatch> batch = decodeChunkWithRetry(index);
+            if (!batch.ok())
+                return batch.status();
             auto decoded = std::make_shared<DecodedChunk>();
-            decoded->reads = std::move(reads.value());
+            decoded->batch = std::move(batch.value());
             decoded->firstRead = decoder_->chunkFirstRead(index);
-            decoded->bytes =
-                DecodedChunk::residentBytes(decoded->reads);
+            decoded->bytes = DecodedChunk::residentBytes(decoded->batch);
             return DecodedChunkPtr(std::move(decoded));
         },
         qos, error);
@@ -246,12 +259,11 @@ SageArchiveService::fetchChunkForSession(size_t chunk,
     return data;
 }
 
-ReadResult
+SpanResult
 SageArchiveService::assembleRange(uint64_t first_read, uint64_t count,
                                   const RequestOptions &options)
 {
-    ReadResult result;
-    result.reads.reserve(static_cast<size_t>(count));
+    SpanResult result;
     const bool abandonable = options.abandonable();
     uint64_t pos = first_read;
     const uint64_t end = first_read + count;
@@ -263,16 +275,16 @@ SageArchiveService::assembleRange(uint64_t first_read, uint64_t count,
         if (abandonable) {
             result.status = options.checkNow();
             if (result.status != RequestStatus::Ok) {
-                result.reads.clear();
+                result.spans.clear();
                 return result;
             }
         }
         Status error;
-        const DecodedChunkPtr chunk =
+        DecodedChunkPtr chunk =
             fetchChunk(chunkForRead(pos),
                        abandonable ? &options : nullptr, &error);
         if (!chunk) {
-            result.reads.clear();
+            result.spans.clear();
             if (!error.ok()) {
                 // The chunk failed to decode (I/O fault or corrupt
                 // bytes). Only this request degrades: the cache kept
@@ -289,14 +301,13 @@ SageArchiveService::assembleRange(uint64_t first_read, uint64_t count,
                         "null chunk from a live request");
             return result;
         }
-        const uint64_t chunk_end =
-            chunk->firstRead + chunk->reads.size();
+        // The span pins the chunk: the reads stay valid after the
+        // cache evicts it, so nothing is copied here.
+        const uint64_t chunk_end = chunk->firstRead + chunk->batch.size();
         const uint64_t take = std::min(end, chunk_end) - pos;
-        for (uint64_t i = 0; i < take; i++) {
-            result.reads.push_back(
-                chunk->reads[static_cast<size_t>(
-                    pos - chunk->firstRead + i)]);
-        }
+        const size_t begin = static_cast<size_t>(pos - chunk->firstRead);
+        result.spans.push_back(
+            ReadSpan{std::move(chunk), begin, static_cast<size_t>(take)});
         pos += take;
     }
     return result;
@@ -309,11 +320,10 @@ SageArchiveService::assembleRange(uint64_t first_read, uint64_t count,
 void
 SageArchiveService::recordRequest(RequestPriority priority,
                                   RequestStatus status, double seconds,
-                                  const std::vector<Read> &served)
+                                  uint64_t reads, uint64_t bytes)
 {
-    readsServed_.fetch_add(served.size(), std::memory_order_relaxed);
-    bytesServed_.fetch_add(payloadBytes(served),
-                           std::memory_order_relaxed);
+    readsServed_.fetch_add(reads, std::memory_order_relaxed);
+    bytesServed_.fetch_add(bytes, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(statsMutex_);
     requests_++;
     requestsByPriority_[static_cast<size_t>(priority)]++;
@@ -330,7 +340,7 @@ SageArchiveService::recordRequest(RequestPriority priority,
 void
 SageArchiveService::scheduleRange(
     uint64_t first_read, uint64_t count, RequestOptions options,
-    std::function<void(ReadResult)> deliver)
+    std::function<void(SpanResult)> deliver)
 {
     sage_assert(first_read <= readCount() &&
                 count <= readCount() - first_read,
@@ -345,14 +355,15 @@ SageArchiveService::scheduleRange(
                 // deadline behind a backlog (or was cancelled while
                 // queued) completes immediately with its status — no
                 // decode, no assembly.
-                ReadResult result;
+                SpanResult result;
                 result.status = options.checkNow();
                 if (result.status == RequestStatus::Ok) {
                     result =
                         assembleRange(first_read, count, options);
                 }
                 recordRequest(options.priority, result.status,
-                              clock.seconds(), result.reads);
+                              clock.seconds(), result.readCount(),
+                              result.payloadBytes());
                 deliver(std::move(result));
             });
 }
@@ -366,8 +377,8 @@ SageArchiveService::readRangeAsync(uint64_t first_read, uint64_t count,
     auto promise = std::make_shared<std::promise<ReadResult>>();
     std::future<ReadResult> future = promise->get_future();
     scheduleRange(first_read, count, options,
-                  [promise](ReadResult result) {
-                      promise->set_value(std::move(result));
+                  [promise](SpanResult result) {
+                      promise->set_value(materialize(result));
                   });
     return future;
 }
@@ -399,7 +410,7 @@ SageArchiveService::readChunk(size_t chunk,
 void
 SageArchiveService::readRangeCallback(
     uint64_t first_read, uint64_t count,
-    std::function<void(ReadResult)> done,
+    std::function<void(SpanResult)> done,
     const RequestOptions &options)
 {
     scheduleRange(first_read, count, options, std::move(done));
@@ -417,9 +428,9 @@ SageArchiveService::readRangeAsync(uint64_t first_read, uint64_t count,
         std::make_shared<std::promise<std::vector<Read>>>();
     std::future<std::vector<Read>> future = promise->get_future();
     scheduleRange(first_read, count, std::move(options),
-                  [promise](ReadResult result) {
+                  [promise](SpanResult result) {
                       // No deadline/token => always Ok.
-                      promise->set_value(std::move(result.reads));
+                      promise->set_value(materialize(result).reads);
                   });
     return future;
 }
@@ -456,8 +467,8 @@ SageArchiveService::readRangeCallback(
     RequestOptions options;
     options.priority = priority;
     scheduleRange(first_read, count, std::move(options),
-                  [done = std::move(done)](ReadResult result) {
-                      done(std::move(result.reads));
+                  [done = std::move(done)](SpanResult result) {
+                      done(materialize(result).reads);
                   });
 }
 
@@ -478,7 +489,7 @@ SageArchiveService::warmChunk(size_t chunk)
         const DecodedChunkPtr data = fetchChunk(chunk, nullptr, &error);
         recordRequest(RequestPriority::Background,
                       data ? RequestStatus::Ok : RequestStatus::Error,
-                      clock.seconds(), {});
+                      clock.seconds(), 0, 0);
     });
 }
 
@@ -546,7 +557,7 @@ bool
 ServiceSession::ensureChunk()
 {
     if (chunk_ && position_ >= chunk_->firstRead &&
-        position_ < chunk_->firstRead + chunk_->reads.size()) {
+        position_ < chunk_->firstRead + chunk_->batch.size()) {
         return true;
     }
     // Abandonment is sticky; a chunk-decode Error is not — a later
@@ -586,7 +597,7 @@ ServiceSession::ensureChunk()
                     status = options.checkNow();
             }
             service->recordRequest(options.priority, status,
-                                   clock.seconds(), {});
+                                   clock.seconds(), 0, 0);
             promise->set_value(Outcome{std::move(data), status});
         });
     Outcome outcome = future.get();
@@ -607,15 +618,13 @@ ServiceSession::next()
     sage_assert(ensureChunk(), "session ",
                 requestStatusName(status_),
                 " - poll lastStatus() or use read()");
-    Read read =
-        chunk_->reads[static_cast<size_t>(position_ -
-                                          chunk_->firstRead)];
+    const size_t index =
+        static_cast<size_t>(position_ - chunk_->firstRead);
     position_++;
     service_->readsServed_.fetch_add(1, std::memory_order_relaxed);
-    service_->bytesServed_.fetch_add(
-        read.bases.size() + read.quals.size(),
-        std::memory_order_relaxed);
-    return read;
+    service_->bytesServed_.fetch_add(chunk_->batch.payloadBytes(index, 1),
+                                     std::memory_order_relaxed);
+    return chunk_->batch.read(index);
 }
 
 std::vector<Read>
@@ -629,14 +638,13 @@ ServiceSession::read(uint64_t count)
         if (!ensureChunk())
             break;  // Cancelled/expired: deliver what is assembled.
         const uint64_t chunk_end =
-            chunk_->firstRead + chunk_->reads.size();
+            chunk_->firstRead + chunk_->batch.size();
         const uint64_t take = std::min(count, chunk_end - position_);
-        for (uint64_t i = 0; i < take; i++) {
-            const Read &read = chunk_->reads[static_cast<size_t>(
-                position_ - chunk_->firstRead + i)];
-            taken_bytes += read.bases.size() + read.quals.size();
-            out.push_back(read);
-        }
+        const ReadSpan span{
+            chunk_, static_cast<size_t>(position_ - chunk_->firstRead),
+            static_cast<size_t>(take)};
+        span.materialize(out);
+        taken_bytes += span.payloadBytes();
         position_ += take;
         count -= take;
     }

@@ -37,8 +37,12 @@
  * Requests address reads by stored-order index — readRange(first,
  * count) spans chunk boundaries transparently — or whole chunks by
  * index. Sync, future- and callback-based async flavors all funnel
- * through the same scheduler. See docs/service.md for the cache and
- * scheduling model plus sizing guidance.
+ * through the same scheduler, which assembles a request as pinned
+ * spans of cached ReadBatches (SpanResult). The QoS callback flavor
+ * hands those spans over as they are; the sync, future, plain
+ * callback and session flavors copy them into owned Reads. See
+ * docs/service.md for the cache and scheduling model plus sizing
+ * guidance.
  */
 
 #ifndef SAGE_SERVICE_SERVICE_HH
@@ -103,7 +107,7 @@ struct ServiceOptions
     unsigned decodeRetries = 2;
 };
 
-/** What a QoS-bearing request completed with. */
+/** What a QoS-bearing request completed with, as owned reads. */
 struct ReadResult
 {
     RequestStatus status = RequestStatus::Ok;
@@ -117,6 +121,34 @@ struct ReadResult
 
     bool ok() const { return status == RequestStatus::Ok; }
 };
+
+/**
+ * What a range request completed with, as pinned spans of decoded
+ * chunks: no read is copied. This is what the scheduler produces and
+ * what the callback flavor (the network front end's) delivers; the
+ * sync and future flavors materialize() it into a ReadResult.
+ */
+struct SpanResult
+{
+    RequestStatus status = RequestStatus::Ok;
+    /** Empty unless status == Ok; otherwise consecutive spans that
+     *  cover the requested range exactly, in stored order. */
+    std::vector<ReadSpan> spans;
+    /** Why status == Error, when it is; Ok otherwise. */
+    Status error;
+
+    bool ok() const { return status == RequestStatus::Ok; }
+
+    /** Reads across every span. */
+    uint64_t readCount() const;
+
+    /** Header + bases + quality bytes across every span. */
+    uint64_t payloadBytes() const;
+};
+
+/** Owned copies of @p result's reads (status and error carried
+ *  over): the in-process flavors' result. */
+ReadResult materialize(const SpanResult &result);
 
 /** Snapshot of the service's counters (see stats()). */
 struct ServiceStats
@@ -147,7 +179,8 @@ struct ServiceStats
     uint64_t retries = 0;
 
     uint64_t readsServed = 0;  ///< Reads delivered to clients.
-    uint64_t bytesServed = 0;  ///< Payload bytes (bases + quality).
+    /** Payload bytes delivered: header + bases + quality. */
+    uint64_t bytesServed = 0;
 
     /** Requests queued / executing right now, and the queue's
      *  high-water mark. */
@@ -207,8 +240,9 @@ class ServiceSession
 
     bool hasNext() const { return remaining() > 0; }
 
-    /** Next read in stored order (copies out of the shared decoded
-     *  chunk; chunk-grained fetches + readahead behind the scenes).
+    /** Next read in stored order (an owned copy out of the shared
+     *  decoded chunk; chunk-grained fetches + readahead behind the
+     *  scenes).
      *  Fatal on a cancelled/expired session — poll lastStatus() or
      *  use read() when the session carries a token. */
     Read next();
@@ -329,9 +363,10 @@ class SageArchiveService
     readChunkAsync(size_t chunk, const RequestOptions &options);
 
     /** Callback-based QoS flavor (same worker-thread rule as
-     *  readRangeCallback). */
+     *  readRangeCallback). Delivers pinned spans, not copies: the
+     *  zero-copy path the network front end encodes replies from. */
     void readRangeCallback(uint64_t first_read, uint64_t count,
-                           std::function<void(ReadResult)> done,
+                           std::function<void(SpanResult)> done,
                            const RequestOptions &options);
 
     // ---- asynchronous API --------------------------------------------
@@ -440,14 +475,14 @@ class SageArchiveService
      *  IoError re-attempts up to ServiceOptions::decodeRetries times
      *  (counted in stats().retries); a terminal failure is classified
      *  into ioErrors/corruptChunks exactly once. */
-    StatusOr<std::vector<Read>> decodeChunkWithRetry(size_t chunk);
+    StatusOr<ReadBatch> decodeChunkWithRetry(size_t chunk);
 
     /** Classify a terminal chunk-decode failure into the counters. */
     void recordChunkError(const Status &status);
 
-    /** Copy the reads of [first, first+count) out of cached chunks,
-     *  re-checking @p options before each chunk decode. */
-    ReadResult assembleRange(uint64_t first_read, uint64_t count,
+    /** Pin spans covering reads [first, first+count) of cached
+     *  chunks, re-checking @p options before each chunk decode. */
+    SpanResult assembleRange(uint64_t first_read, uint64_t count,
                              const RequestOptions &options);
 
     /** Shared body of every range flavor: validate, enqueue, check
@@ -455,7 +490,7 @@ class SageArchiveService
      *  @p deliver on the worker. */
     void scheduleRange(uint64_t first_read, uint64_t count,
                        RequestOptions options,
-                       std::function<void(ReadResult)> deliver);
+                       std::function<void(SpanResult)> deliver);
 
     /** Queue @p work at @p priority; returns after enqueue. */
     void enqueue(RequestPriority priority, std::function<void()> work);
@@ -463,10 +498,10 @@ class SageArchiveService
     /** Pop and run the oldest request of the best priority. */
     void runOne();
 
-    /** Record a completed request's latency + served payload. */
+    /** Record a completed request's latency + served payload
+     *  (@p reads reads of @p bytes header + bases + quality bytes). */
     void recordRequest(RequestPriority priority, RequestStatus status,
-                       double seconds,
-                       const std::vector<Read> &served);
+                       double seconds, uint64_t reads, uint64_t bytes);
 
     /** Owned for the path and pre-opened-decoder ctors. */
     std::unique_ptr<ByteSource> file_;

@@ -279,7 +279,7 @@ TEST(CorruptArchive, BitFlippedStreamsNeverCrashTheDecoder)
                 continue; // Rejected at parse: fine.
             SageDecoder &decoder = **opened;
             for (size_t c = 0; c < decoder.chunkCount(); c++) {
-                const StatusOr<std::vector<Read>> chunk =
+                const StatusOr<ReadBatch> chunk =
                     decoder.tryDecodeChunkShared(c);
                 (void)chunk; // Ok or Status — both acceptable.
             }

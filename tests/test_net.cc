@@ -616,7 +616,7 @@ TEST(NetMultiArchive, ByteIdenticalAcrossArchives)
                   Admission::BadRange);
         EXPECT_EQ(service
                       .readRange(99, 0, 1, RequestOptions(),
-                                 [](ReadResult) { FAIL(); }, &reject)
+                                 [](SpanResult) { FAIL(); }, &reject)
                       ,
                   Admission::UnknownArchive);
         EXPECT_FALSE(reject.ok());
@@ -743,8 +743,8 @@ TEST(NetMultiArchive, AdmissionControlShedsAtHighWater)
         std::promise<ReadResult> first_done;
         ASSERT_EQ(service.readRange(
                       meta->id, 0, 64, RequestOptions(),
-                      [&](ReadResult result) {
-                          first_done.set_value(std::move(result));
+                      [&](SpanResult result) {
+                          first_done.set_value(materialize(result));
                       }),
                   Admission::Admitted);
         EXPECT_GE(service.queueDepth(), 1u);
@@ -754,7 +754,7 @@ TEST(NetMultiArchive, AdmissionControlShedsAtHighWater)
         Status reject;
         ASSERT_EQ(service.readRange(meta->id, 0, 64,
                                     RequestOptions(),
-                                    [](ReadResult) { FAIL(); },
+                                    [](SpanResult) { FAIL(); },
                                     &reject),
                   Admission::Overloaded);
         EXPECT_EQ(reject.code(), StatusCode::Exhausted);

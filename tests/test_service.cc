@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <thread>
 
 #include "core/sage.hh"
@@ -48,6 +49,16 @@ expectSameReads(const std::vector<Read> &a, const std::vector<Read> &b)
     }
 }
 
+/** Served-payload unit: header + bases + quality bytes. */
+uint64_t
+payloadBytes(const std::vector<Read> &reads)
+{
+    uint64_t bytes = 0;
+    for (const Read &read : reads)
+        bytes += read.header.size() + read.bases.size() + read.quals.size();
+    return bytes;
+}
+
 /** A decoded chunk of @p reads copies with ~@p bytes_each payload. */
 DecodedChunkPtr
 makeChunk(size_t chunk, uint64_t first_read, size_t reads,
@@ -56,11 +67,10 @@ makeChunk(size_t chunk, uint64_t first_read, size_t reads,
     auto data = std::make_shared<DecodedChunk>();
     data->firstRead = first_read;
     for (size_t r = 0; r < reads; r++) {
-        Read read;
-        read.bases.assign(bytes_each, "ACGT"[(chunk + r) % 4]);
-        data->reads.push_back(std::move(read));
+        std::memset(data->batch.append("", bytes_each, ""),
+                    "ACGT"[(chunk + r) % 4], bytes_each);
     }
-    data->bytes = DecodedChunk::residentBytes(data->reads);
+    data->bytes = DecodedChunk::residentBytes(data->batch);
     return data;
 }
 
@@ -320,7 +330,7 @@ TEST(ChunkCache, ZeroBudgetServesWithoutRetaining)
     };
     const DecodedChunkPtr data = cache.getOrDecode(3, decode);
     ASSERT_NE(data, nullptr);
-    EXPECT_EQ(data->reads.size(), 2u);
+    EXPECT_EQ(data->batch.size(), 2u);
     EXPECT_FALSE(cache.contains(3));
     cache.getOrDecode(3, decode);
     EXPECT_EQ(decodes.load(), 2);  // Nothing was retained.
@@ -453,6 +463,8 @@ TEST_F(ServiceTest, ReadRangeMatchesSequentialReader)
     // Whole archive in one request.
     expectSameReads(service.readRange(0, service.readCount()),
                     expected_);
+    uint64_t served_reads = expected_.size();
+    uint64_t served_bytes = payloadBytes(expected_);
 
     // Unaligned spans crossing chunk boundaries.
     for (uint64_t first : {0ull, 1ull, 63ull, 64ull, 65ull, 130ull}) {
@@ -466,9 +478,14 @@ TEST_F(ServiceTest, ReadRangeMatchesSequentialReader)
                 expected_.begin() +
                     static_cast<ptrdiff_t>(first + count));
             expectSameReads(got, want);
+            served_reads += got.size();
+            served_bytes += payloadBytes(got);
         }
     }
     const ServiceStats stats = service.stats();
+    // Served bytes count the payload unit: header + bases + quality.
+    EXPECT_EQ(stats.readsServed, served_reads);
+    EXPECT_EQ(stats.bytesServed, served_bytes);
     EXPECT_GT(stats.requests, 0u);
     EXPECT_GT(stats.cache.hitRate(), 0.0);
     EXPECT_GT(stats.latencySamples, 0u);
@@ -530,6 +547,7 @@ TEST_F(ServiceTest, SessionWalksArchiveInStoredOrder)
     service.pool().wait();
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.readsServed, expected_.size());
+    EXPECT_EQ(stats.bytesServed, payloadBytes(expected_));
     // A sequential walk triggers next-chunk readahead warms, and the
     // drained warms find their chunks resident (or decode them for the
     // session to hit), so the lookup mix can't be all misses.
@@ -553,8 +571,12 @@ TEST_F(ServiceTest, SessionBulkReadAndSeek)
 
     // Clamped read at the end of the archive.
     session.seek(expected_.size() - 3);
-    EXPECT_EQ(session.read(100).size(), 3u);
+    const std::vector<Read> tail = session.read(100);
+    EXPECT_EQ(tail.size(), 3u);
     EXPECT_FALSE(session.hasNext());
+    EXPECT_EQ(service.stats().bytesServed,
+              payloadBytes(bulk) + payloadBytes(after_seek) +
+                  payloadBytes(tail));
 }
 
 TEST_F(ServiceTest, DnaOnlyServiceSkipsQuality)
