@@ -3,18 +3,23 @@
  * Concurrent clients over one shared archive: the SageArchiveService
  * tour (service/service.hh). One service owns the open archive and a
  * byte-budgeted decoded-chunk cache; any number of clients read
- * through it — sequential sessions, random ranges, async futures —
- * and a hot chunk is decoded once no matter how many of them ask.
+ * through it — sequential sessions, blocking ranges, asynchronous
+ * submissions — and a hot chunk is decoded once no matter how many of
+ * them ask.
  *
- *   sage::SageArchiveService  -> shared server over one archive
- *   service.openSession()     -> per-client sequential cursor
- *   service.readRange(a, n)   -> stored-order span, any priority
- *   service.readRangeAsync()  -> future-based flavor
- *   RequestOptions            -> deadline + cancel token (qos.hh)
- *   service.stats()           -> hit rate, latency, queue counters
+ *   sage::SageArchiveService   -> shared server over one archive
+ *   service.submit(a, n, o, f) -> the one request entry point: async,
+ *                                 delivers pinned spans to f
+ *   service.readRange(a, n)    -> blocking helper: owned reads
+ *   service.readChunk(c)       -> blocking helper over one chunk
+ *   service.openSession()      -> per-client sequential cursor
+ *   RequestOptions             -> priority, deadline, cancel token
+ *   service.stats()            -> hit rate, latency, queue counters
  */
 
 #include <cstdio>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -64,24 +69,40 @@ main()
     });
 
     // A range reader (e.g. a region query) at Interactive priority.
+    // The blocking helpers return ReadResult{status, reads}: check
+    // ok() before touching the data.
     clients.emplace_back([&] {
-        const std::vector<Read> span =
-            service.readRange(100, 200, RequestPriority::Interactive);
-        std::printf("  range client: reads [100, 300) -> %zu reads\n",
-                    span.size());
+        RequestOptions interactive;
+        interactive.priority = RequestPriority::Interactive;
+        const ReadResult span = service.readRange(100, 200, interactive);
+        std::printf("  range client: reads [100, 300) -> %s, %zu reads\n",
+                    requestStatusName(span.status), span.reads.size());
     });
 
-    // An async consumer overlapping two requests.
+    // An async consumer overlapping two requests. submit() returns at
+    // once; each callback runs on a worker with pinned spans of the
+    // cached chunks (no copy) and must not block on this service.
     clients.emplace_back([&] {
-        auto a = service.readRangeAsync(0, 256);
-        auto b = service.readChunkAsync(service.chunkCount() - 1);
-        std::printf("  async client: %zu + %zu reads\n",
-                    a.get().size(), b.get().size());
+        auto submitCounting = [&](uint64_t first, uint64_t count) {
+            auto promise = std::make_shared<std::promise<uint64_t>>();
+            std::future<uint64_t> reads = promise->get_future();
+            service.submit(first, count, {},
+                           [promise](SpanResult result) {
+                               promise->set_value(result.readCount());
+                           });
+            return reads;
+        };
+        const size_t last = service.chunkCount() - 1;
+        auto a = submitCounting(0, 256);
+        auto b = submitCounting(service.chunkFirstRead(last),
+                                service.chunkReadCount(last));
+        std::printf("  async client: %llu + %llu reads\n",
+                    static_cast<unsigned long long>(a.get()),
+                    static_cast<unsigned long long>(b.get()));
     });
 
-    // A latency-sensitive client: deadline + cancel token. The QoS
-    // overloads return ReadResult{status, reads} — check ok() before
-    // touching the data; an Expired/Cancelled request delivers none.
+    // A latency-sensitive client: deadline + cancel token. An
+    // Expired/Cancelled request delivers no reads.
     clients.emplace_back([&] {
         CancelSource source;  // cancel() from any thread to abort.
         RequestOptions qos;

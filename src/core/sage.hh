@@ -24,9 +24,13 @@
  *
  * To serve one archive to many concurrent clients, open it through
  * service/service.hh instead (decoded-chunk cache + request
- * scheduling):
+ * scheduling). submit() is its one request entry point;
+ * readRange()/readChunk() block on it, sessions walk it in order:
  * @code
  *   sage::SageArchiveService service("reads.sage");
+ *   service.submit(0, 1024, {}, [](sage::SpanResult r) { ... });
+ *   sage::ReadResult range = service.readRange(100, 200);
+ *   if (range.ok()) process(range.reads);
  *   sage::ServiceSession client = service.openSession();
  *   while (client.hasNext()) process(client.next());
  * @endcode

@@ -161,10 +161,6 @@ MultiArchiveService::ensureOpenLocked(
     service_options.cacheBudgetBytes = partitionBytes_;
     service_options.cacheShards = options_.cacheShards;
     service_options.pool = pool_;
-    // No sessions exist server-side, and readahead warms capture a
-    // raw service pointer — keep the per-archive service free of
-    // self-referencing background work so lazy close stays safe.
-    service_options.sessionReadahead = false;
     service_options.decodeRetries = options_.decodeRetries;
     open->service = std::make_unique<SageArchiveService>(
         std::move(decoder.value()), nullptr, service_options);
@@ -344,13 +340,12 @@ MultiArchiveService::admitRange(uint32_t archive, uint64_t first,
     inflight_.fetch_add(1, std::memory_order_acq_rel);
     // The closure's shared_ptr keeps the archive (service, cache,
     // file) alive across eviction until this request completes.
-    open->service->readRangeCallback(
-        first, count,
+    open->service->submit(
+        first, count, options,
         [this, open, done = std::move(done)](SpanResult result) {
             done(std::move(result));
             finishRequest();
-        },
-        options);
+        });
     return Admission::Admitted;
 }
 
@@ -381,30 +376,14 @@ MultiArchiveService::readRangeSync(uint32_t archive, uint64_t first,
                                    const RequestOptions &options)
 {
     SyncOutcome outcome;
-    std::promise<ReadResult> promise;
-    auto future = promise.get_future();
+    // Shared, not on this stack: the worker may still be inside
+    // set_value when get() returns here.
+    auto promise = std::make_shared<std::promise<ReadResult>>();
+    auto future = promise->get_future();
     outcome.admission = readRange(
         archive, first, count, options,
-        [&promise](SpanResult result) {
-            promise.set_value(materialize(result));
-        },
-        &outcome.reject);
-    if (outcome.admission == Admission::Admitted)
-        outcome.result = future.get();
-    return outcome;
-}
-
-MultiArchiveService::SyncOutcome
-MultiArchiveService::readChunkSync(uint32_t archive, uint64_t chunk,
-                                   const RequestOptions &options)
-{
-    SyncOutcome outcome;
-    std::promise<ReadResult> promise;
-    auto future = promise.get_future();
-    outcome.admission = readChunk(
-        archive, chunk, options,
-        [&promise](SpanResult result) {
-            promise.set_value(materialize(result));
+        [promise](SpanResult result) {
+            promise->set_value(materialize(result));
         },
         &outcome.reject);
     if (outcome.admission == Admission::Admitted)

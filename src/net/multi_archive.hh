@@ -185,8 +185,8 @@ class MultiArchiveService
                         std::function<void(SpanResult)> done,
                         Status *reject = nullptr);
 
-    /** Blocking conveniences for tests and in-process callers; the
-     *  result holds owned copies of the reads. */
+    /** Blocking helper for in-process callers; the result holds
+     *  owned copies of the reads. */
     struct SyncOutcome
     {
         Admission admission = Admission::Admitted;
@@ -195,8 +195,6 @@ class MultiArchiveService
     };
     SyncOutcome readRangeSync(uint32_t archive, uint64_t first,
                               uint64_t count,
-                              const RequestOptions &options = {});
-    SyncOutcome readChunkSync(uint32_t archive, uint64_t chunk,
                               const RequestOptions &options = {});
 
     /** Summed scheduler queue depth across open archives (relaxed

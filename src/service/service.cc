@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <future>
 #include <utility>
 
 #include "util/logging.hh"
@@ -252,7 +253,7 @@ SageArchiveService::fetchChunkForSession(size_t chunk,
     // retaining cache (the warm's decode would be evicted on insert
     // and re-done when the session arrives), so a zero budget
     // disables speculation.
-    if (data && options_.sessionReadahead && cache_.budgetBytes() > 0 &&
+    if (data && cache_.budgetBytes() > 0 &&
         chunk + 1 < chunkCount() && !cache_.contains(chunk + 1)) {
         warmChunk(chunk + 1);
     }
@@ -338,9 +339,9 @@ SageArchiveService::recordRequest(RequestPriority priority,
 }
 
 void
-SageArchiveService::scheduleRange(
-    uint64_t first_read, uint64_t count, RequestOptions options,
-    std::function<void(SpanResult)> deliver)
+SageArchiveService::submit(uint64_t first_read, uint64_t count,
+                           RequestOptions options,
+                           std::function<void(SpanResult)> done)
 {
     sage_assert(first_read <= readCount() &&
                 count <= readCount() - first_read,
@@ -349,8 +350,7 @@ SageArchiveService::scheduleRange(
     const Stopwatch clock;  // Latency includes the queue wait.
     enqueue(options.priority,
             [this, first_read, count, clock,
-             options = std::move(options),
-             deliver = std::move(deliver)] {
+             options = std::move(options), done = std::move(done)] {
                 // Dequeue-time QoS check: a request that sat out its
                 // deadline behind a backlog (or was cancelled while
                 // queued) completes immediately with its status — no
@@ -364,112 +364,32 @@ SageArchiveService::scheduleRange(
                 recordRequest(options.priority, result.status,
                               clock.seconds(), result.readCount(),
                               result.payloadBytes());
-                deliver(std::move(result));
+                done(std::move(result));
             });
-}
-
-// ---- QoS flavors -----------------------------------------------------
-
-std::future<ReadResult>
-SageArchiveService::readRangeAsync(uint64_t first_read, uint64_t count,
-                                   const RequestOptions &options)
-{
-    auto promise = std::make_shared<std::promise<ReadResult>>();
-    std::future<ReadResult> future = promise->get_future();
-    scheduleRange(first_read, count, options,
-                  [promise](SpanResult result) {
-                      promise->set_value(materialize(result));
-                  });
-    return future;
-}
-
-std::future<ReadResult>
-SageArchiveService::readChunkAsync(size_t chunk,
-                                   const RequestOptions &options)
-{
-    sage_assert(chunk < chunkCount(), "chunk index ", chunk,
-                " out of range (", chunkCount(), " chunks)");
-    return readRangeAsync(decoder_->chunkFirstRead(chunk),
-                          decoder_->chunkReadCount(chunk), options);
 }
 
 ReadResult
 SageArchiveService::readRange(uint64_t first_read, uint64_t count,
                               const RequestOptions &options)
 {
-    return readRangeAsync(first_read, count, options).get();
+    // Shared, not on this stack: the worker may still be inside
+    // set_value when get() returns here.
+    auto promise = std::make_shared<std::promise<ReadResult>>();
+    std::future<ReadResult> future = promise->get_future();
+    submit(first_read, count, options, [promise](SpanResult result) {
+        promise->set_value(materialize(result));
+    });
+    return future.get();
 }
 
 ReadResult
 SageArchiveService::readChunk(size_t chunk,
                               const RequestOptions &options)
 {
-    return readChunkAsync(chunk, options).get();
-}
-
-void
-SageArchiveService::readRangeCallback(
-    uint64_t first_read, uint64_t count,
-    std::function<void(SpanResult)> done,
-    const RequestOptions &options)
-{
-    scheduleRange(first_read, count, options, std::move(done));
-}
-
-// ---- plain (no-QoS) flavors ------------------------------------------
-
-std::future<std::vector<Read>>
-SageArchiveService::readRangeAsync(uint64_t first_read, uint64_t count,
-                                   RequestPriority priority)
-{
-    RequestOptions options;
-    options.priority = priority;
-    auto promise =
-        std::make_shared<std::promise<std::vector<Read>>>();
-    std::future<std::vector<Read>> future = promise->get_future();
-    scheduleRange(first_read, count, std::move(options),
-                  [promise](SpanResult result) {
-                      // No deadline/token => always Ok.
-                      promise->set_value(materialize(result).reads);
-                  });
-    return future;
-}
-
-std::future<std::vector<Read>>
-SageArchiveService::readChunkAsync(size_t chunk,
-                                   RequestPriority priority)
-{
     sage_assert(chunk < chunkCount(), "chunk index ", chunk,
                 " out of range (", chunkCount(), " chunks)");
-    return readRangeAsync(decoder_->chunkFirstRead(chunk),
-                          decoder_->chunkReadCount(chunk), priority);
-}
-
-std::vector<Read>
-SageArchiveService::readRange(uint64_t first_read, uint64_t count,
-                              RequestPriority priority)
-{
-    return readRangeAsync(first_read, count, priority).get();
-}
-
-std::vector<Read>
-SageArchiveService::readChunk(size_t chunk, RequestPriority priority)
-{
-    return readChunkAsync(chunk, priority).get();
-}
-
-void
-SageArchiveService::readRangeCallback(
-    uint64_t first_read, uint64_t count,
-    std::function<void(std::vector<Read>)> done,
-    RequestPriority priority)
-{
-    RequestOptions options;
-    options.priority = priority;
-    scheduleRange(first_read, count, std::move(options),
-                  [done = std::move(done)](SpanResult result) {
-                      done(materialize(result).reads);
-                  });
+    return readRange(decoder_->chunkFirstRead(chunk),
+                     decoder_->chunkReadCount(chunk), options);
 }
 
 void

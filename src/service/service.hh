@@ -15,10 +15,10 @@
  *     ghost set) with single-flight decode, so a hot chunk is
  *     decompressed once no matter how many clients want it and a
  *     64-client sequential sweep cannot flush it;
- *   - a request scheduler that drains readRange()/readChunk()
- *     requests onto a shared util/thread_pool in FIFO-within-priority
- *     order (an Interactive request overtakes queued Background
- *     warms, requests of equal priority run in arrival order);
+ *   - a request scheduler that drains submit() requests onto a
+ *     shared util/thread_pool in FIFO-within-priority order (an
+ *     Interactive request overtakes queued Background warms,
+ *     requests of equal priority run in arrival order);
  *   - per-request QoS (service/qos.hh): RequestOptions carry a
  *     deadline and a CancelToken, checked when the request is
  *     dequeued and before each chunk decode, so an interactive
@@ -34,13 +34,11 @@
  *     (util/histogram.hh's LatencyHistogram), snapshotted
  *     consistently against scheduler mutation.
  *
- * Requests address reads by stored-order index — readRange(first,
- * count) spans chunk boundaries transparently — or whole chunks by
- * index. Sync, future- and callback-based async flavors all funnel
- * through the same scheduler, which assembles a request as pinned
- * spans of cached ReadBatches (SpanResult). The QoS callback flavor
- * hands those spans over as they are; the sync, future, plain
- * callback and session flavors copy them into owned Reads. See
+ * Requests address reads by stored-order index — submit(first,
+ * count, options, done) spans chunk boundaries transparently — and
+ * complete with pinned spans of cached ReadBatches (SpanResult).
+ * readRange()/readChunk() are blocking helpers over submit() that
+ * copy the spans into owned Reads, as do sessions. See
  * docs/service.md for the cache and scheduling model plus sizing
  * guidance.
  */
@@ -54,7 +52,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -94,11 +91,6 @@ struct ServiceOptions
      *  concurrency). */
     unsigned ownedPoolThreads = 0;
 
-    /** Speculate each session's next chunk into the cache as a
-     *  Background request when its sequential walk crosses a chunk
-     *  boundary. */
-    bool sessionReadahead = true;
-
     /** Re-attempts of a chunk decode that failed with a *transient*
      *  I/O error (StatusCode::IoError) before the failure is delivered
      *  to the request. Corrupt/truncated data never retries — bad
@@ -107,7 +99,7 @@ struct ServiceOptions
     unsigned decodeRetries = 2;
 };
 
-/** What a QoS-bearing request completed with, as owned reads. */
+/** What a blocking request completed with, as owned reads. */
 struct ReadResult
 {
     RequestStatus status = RequestStatus::Ok;
@@ -124,9 +116,8 @@ struct ReadResult
 
 /**
  * What a range request completed with, as pinned spans of decoded
- * chunks: no read is copied. This is what the scheduler produces and
- * what the callback flavor (the network front end's) delivers; the
- * sync and future flavors materialize() it into a ReadResult.
+ * chunks: no read is copied. This is what submit() delivers; the
+ * blocking helpers materialize() it into a ReadResult.
  */
 struct SpanResult
 {
@@ -147,7 +138,7 @@ struct SpanResult
 };
 
 /** Owned copies of @p result's reads (status and error carried
- *  over): the in-process flavors' result. */
+ *  over): the blocking helpers' result. */
 ReadResult materialize(const SpanResult &result);
 
 /** Snapshot of the service's counters (see stats()). */
@@ -188,7 +179,9 @@ struct ServiceStats
     uint64_t executing = 0;
     uint64_t maxQueueDepth = 0;
 
-    /** Background cache warms issued by session readahead. */
+    /** Background cache warms issued, by session readahead or by
+     *  explicit warmChunk() calls (one per call that enqueued a warm:
+     *  resident or out-of-range chunks are not counted). */
     uint64_t readaheadWarms = 0;
 
     /** Cache counters (hit rate, evictions, ghost hits, resident). */
@@ -243,8 +236,10 @@ class ServiceSession
     /** Next read in stored order (an owned copy out of the shared
      *  decoded chunk; chunk-grained fetches + readahead behind the
      *  scenes).
-     *  Fatal on a cancelled/expired session — poll lastStatus() or
-     *  use read() when the session carries a token. */
+     *  Fatal when the chunk fetch fails: on a cancelled/expired
+     *  session, and on a chunk that fails to decode (lastStatus()
+     *  Error). Use read() and poll lastStatus() when either can
+     *  happen. */
     Read next();
 
     /** Next @p count reads in stored order (clamped to remaining;
@@ -321,92 +316,41 @@ class SageArchiveService
         return decoder_->chunkReadCount(chunk);
     }
 
-    // ---- synchronous API (blocks the calling client thread) ----------
+    // ---- requests ----------------------------------------------------
 
     /**
-     * Reads [@p first_read, @p first_read + @p count) in stored
-     * order, assembled from the covering chunks through the cache.
-     * Scheduled like every other request; the caller blocks until its
-     * turn completes. Fatal on an out-of-range span.
+     * The service's one request entry point: schedule reads
+     * [@p first_read, @p first_read + @p count) in stored order,
+     * assembled from the covering chunks through the cache. @p done
+     * runs once on a worker thread with the outcome as pinned spans of
+     * the cached chunks (nothing copied) — the path the network front
+     * end encodes replies from. The request's deadline and CancelToken
+     * are checked when the scheduler dequeues it and again before each
+     * chunk decode; an abandoned request completes with
+     * RequestStatus::Expired/Cancelled and no spans instead of
+     * occupying a worker behind a deep backlog. @p done must not block
+     * on another blocking request to this service from the same pool
+     * (it would occupy the worker it is waiting for). Fatal on an
+     * out-of-range span.
      */
-    std::vector<Read>
-    readRange(uint64_t first_read, uint64_t count,
-              RequestPriority priority = RequestPriority::Normal);
+    void submit(uint64_t first_read, uint64_t count,
+                RequestOptions options,
+                std::function<void(SpanResult)> done);
 
-    /** All of chunk @p chunk's reads, in stored order. */
-    std::vector<Read>
-    readChunk(size_t chunk,
-              RequestPriority priority = RequestPriority::Normal);
-
-    // ---- QoS API: deadlines + cancellation ---------------------------
-
-    /**
-     * QoS flavor of readRange: the request's deadline and CancelToken
-     * are checked when the scheduler dequeues it and again before
-     * each chunk decode; an abandoned request completes with
-     * RequestStatus::Expired/Cancelled and empty reads instead of
-     * occupying a worker behind a deep backlog.
-     */
+    /** Blocking helper over submit(): waits for the request and
+     *  returns owned copies of its reads. */
     ReadResult readRange(uint64_t first_read, uint64_t count,
-                         const RequestOptions &options);
+                         const RequestOptions &options = {});
 
-    /** QoS flavor of readChunk. */
-    ReadResult readChunk(size_t chunk, const RequestOptions &options);
-
-    /** Future-based QoS flavor. */
-    std::future<ReadResult>
-    readRangeAsync(uint64_t first_read, uint64_t count,
-                   const RequestOptions &options);
-
-    /** Future-based QoS flavor of readChunk. */
-    std::future<ReadResult>
-    readChunkAsync(size_t chunk, const RequestOptions &options);
-
-    /** Callback-based QoS flavor (same worker-thread rule as
-     *  readRangeCallback). Delivers pinned spans, not copies: the
-     *  zero-copy path the network front end encodes replies from. */
-    void readRangeCallback(uint64_t first_read, uint64_t count,
-                           std::function<void(SpanResult)> done,
-                           const RequestOptions &options);
-
-    // ---- asynchronous API --------------------------------------------
-
-    /** Future-based flavor of readRange. */
-    std::future<std::vector<Read>>
-    readRangeAsync(uint64_t first_read, uint64_t count,
-                   RequestPriority priority = RequestPriority::Normal);
-
-    /** Future-based flavor of readChunk. */
-    std::future<std::vector<Read>>
-    readChunkAsync(size_t chunk,
-                   RequestPriority priority = RequestPriority::Normal);
-
-    /**
-     * Callback-based flavor: @p done runs on a worker thread with the
-     * assembled reads once the request is served. The callback must
-     * not block on another sync request to this service from the same
-     * thread pool (it would occupy the worker it is waiting for).
-     */
-    void readRangeCallback(uint64_t first_read, uint64_t count,
-                           std::function<void(std::vector<Read>)> done,
-                           RequestPriority priority =
-                               RequestPriority::Normal);
+    /** readRange() over all of chunk @p chunk's reads. */
+    ReadResult readChunk(size_t chunk, const RequestOptions &options = {});
 
     // ---- sessions / cache control ------------------------------------
 
-    /** Open a sequential per-client cursor. */
+    /** Open a sequential per-client cursor; @p options (priority,
+     *  deadline, CancelToken) apply to every chunk fetch it issues. */
     ServiceSession
-    openSession(RequestPriority priority = RequestPriority::Normal)
-    {
-        RequestOptions options;
-        options.priority = priority;
-        return ServiceSession(*this, std::move(options));
-    }
-
-    /** Open a cursor with full QoS (deadline / CancelToken apply to
-     *  every chunk fetch the session issues). */
-    ServiceSession
-    openSession(const RequestOptions &options)
+    openSession(const RequestOptions &options = {})
     {
         return ServiceSession(*this, options);
     }
@@ -484,13 +428,6 @@ class SageArchiveService
      *  chunks, re-checking @p options before each chunk decode. */
     SpanResult assembleRange(uint64_t first_read, uint64_t count,
                              const RequestOptions &options);
-
-    /** Shared body of every range flavor: validate, enqueue, check
-     *  QoS at dequeue, assemble, record, then hand the result to
-     *  @p deliver on the worker. */
-    void scheduleRange(uint64_t first_read, uint64_t count,
-                       RequestOptions options,
-                       std::function<void(SpanResult)> deliver);
 
     /** Queue @p work at @p priority; returns after enqueue. */
     void enqueue(RequestPriority priority, std::function<void()> work);

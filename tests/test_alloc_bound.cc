@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <new>
 
 #include "core/sage.hh"
@@ -149,12 +150,13 @@ TEST_F(AllocBound, ReplyFromCachedSpansAllocatesOnlyTheFrame)
     const uint64_t first = 40, count = 150;
     ASSERT_TRUE(service.readRange(first, count, RequestOptions{}).ok());
 
-    std::promise<SpanResult> done;
-    service.readRangeCallback(
-        first, count,
-        [&done](SpanResult result) { done.set_value(std::move(result)); },
-        RequestOptions{});
-    const SpanResult spans = done.get_future().get();
+    auto done = std::make_shared<std::promise<SpanResult>>();
+    std::future<SpanResult> pending = done->get_future();
+    service.submit(first, count, RequestOptions{},
+                   [done](SpanResult result) {
+                       done->set_value(std::move(result));
+                   });
+    const SpanResult spans = pending.get();
     ASSERT_TRUE(spans.ok()) << spans.error.toString();
     ASSERT_EQ(spans.spans.size(), 3u);
     ASSERT_EQ(spans.readCount(), count);

@@ -410,7 +410,6 @@ TEST(ServiceFault, SessionsRetryPastNonStickyErrors)
     fault_config.failEveryN = 1;
     ServiceOptions options;
     options.decodeRetries = 0;
-    options.sessionReadahead = false; // Strictly on-demand walk.
     FaultedService harness(bytes, fault_config, options);
     SageArchiveService &service = *harness.service;
 

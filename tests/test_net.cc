@@ -32,6 +32,7 @@
 #include <cstdio>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <thread>
 
 #include "core/sage.hh"
@@ -78,6 +79,26 @@ expectSameReads(const std::vector<Read> &a, const std::vector<Read> &b)
         ASSERT_EQ(a[i].quals, b[i].quals) << "read " << i;
         ASSERT_EQ(a[i].header, b[i].header) << "read " << i;
     }
+}
+
+/** Blocking chunk read through MultiArchiveService::readChunk: the
+ *  chunk-addressed twin of readRangeSync. */
+MultiArchiveService::SyncOutcome
+readChunkBlocking(MultiArchiveService &service, uint32_t archive,
+                  uint64_t chunk)
+{
+    MultiArchiveService::SyncOutcome outcome;
+    auto promise = std::make_shared<std::promise<ReadResult>>();
+    std::future<ReadResult> future = promise->get_future();
+    outcome.admission = service.readChunk(
+        archive, chunk, RequestOptions{},
+        [promise](SpanResult result) {
+            promise->set_value(materialize(result));
+        },
+        &outcome.reject);
+    if (outcome.admission == Admission::Admitted)
+        outcome.result = future.get();
+    return outcome;
 }
 
 /** One archive of a synthetic corpus plus its stored-order truth. */
@@ -585,7 +606,7 @@ TEST(NetMultiArchive, ByteIdenticalAcrossArchives)
                                   entry.expected.begin() + 193));
 
             MultiArchiveService::SyncOutcome chunk =
-                service.readChunkSync(meta->id, 1);
+                readChunkBlocking(service, meta->id, 1);
             ASSERT_EQ(chunk.admission, Admission::Admitted);
             ASSERT_TRUE(chunk.result.ok());
             expectSameReads(
@@ -612,8 +633,9 @@ TEST(NetMultiArchive, ByteIdenticalAcrossArchives)
                                         corpus[0].expected.size() + 1)
                       .admission,
                   Admission::BadRange);
-        EXPECT_EQ(service.readChunkSync(0, corpus[0].chunks).admission,
-                  Admission::BadRange);
+        EXPECT_EQ(
+            readChunkBlocking(service, 0, corpus[0].chunks).admission,
+            Admission::BadRange);
         EXPECT_EQ(service
                       .readRange(99, 0, 1, RequestOptions(),
                                  [](SpanResult) { FAIL(); }, &reject)

@@ -5,7 +5,9 @@
  *
  * Each corpus is a simgen read set compressed over a grid of
  * chunkReads (1, 7, and more than half the set), quality kept or
- * dropped, and preserveOrder on or off. The stored order is taken from
+ * dropped, and preserveOrder on or off, plus long-read corpora
+ * (thousands of bases per read) at chunkReads 7 and more than half the
+ * set. The stored order is taken from
  * the sequential reader (SageReader::next) and checked to be a
  * permutation of the input; every other path must then return it
  * byte for byte, header and quality included:
@@ -14,7 +16,8 @@
  *     when the archive preserved it);
  *   - readChunk(i) concatenated over every chunk;
  *   - SageArchiveService range reads that straddle chunk boundaries,
- *     with a 0-byte cache budget and a budget of about two chunks, so
+ *     through readRange and through submit's pinned spans, with a
+ *     0-byte cache budget and a budget of about two chunks, so
  *     delivered spans must pin chunks the cache already dropped;
  *   - ServiceSession::read in steps that cross chunk boundaries;
  *   - loopback READ_RANGE and READ_CHUNK through net::Client.
@@ -30,6 +33,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -47,6 +51,7 @@ struct GridPoint
     uint32_t chunkReads;
     bool keepQuality;
     bool preserveOrder;
+    bool longReads = false;
 };
 
 std::string
@@ -56,7 +61,8 @@ gridName(const ::testing::TestParamInfo<GridPoint> &info)
     return (p.chunkReads == 0 ? std::string("chunkHalfPlus")
                               : "chunk" + std::to_string(p.chunkReads)) +
         (p.keepQuality ? "_qual" : "_noqual") +
-        (p.preserveOrder ? "_ordered" : "_stored");
+        (p.preserveOrder ? "_ordered" : "_stored") +
+        (p.longReads ? "_long" : "");
 }
 
 std::vector<GridPoint>
@@ -67,6 +73,14 @@ grid()
         for (const bool quality : {true, false}) {
             for (const bool order : {true, false})
                 points.push_back(GridPoint{chunk_reads, quality, order});
+        }
+    }
+    for (const uint32_t chunk_reads : {7u, 0u}) {
+        for (const bool quality : {true, false}) {
+            for (const bool order : {true, false}) {
+                points.push_back(
+                    GridPoint{chunk_reads, quality, order, true});
+            }
         }
     }
     return points;
@@ -101,8 +115,9 @@ class ReadPathRoundTrip : public ::testing::TestWithParam<GridPoint>
     SetUp() override
     {
         const GridPoint &point = GetParam();
-        DatasetSpec spec = makeTinySpec(false);
-        spec.genome.referenceLength = 1 << 14;  // A few hundred reads.
+        DatasetSpec spec = makeTinySpec(point.longReads);
+        // A few hundred short reads, or a few dozen long ones.
+        spec.genome.referenceLength = point.longReads ? 1 << 15 : 1 << 14;
         const SimulatedDataset ds = synthesizeDataset(spec);
         input_ = ds.readSet.reads;
         ASSERT_GT(input_.size(), 16u);
@@ -212,7 +227,7 @@ TEST_P(ReadPathRoundTrip, ServiceRangesPinEvictedChunks)
         SageArchiveService service(path_, options);
         const std::string label = "budget " + std::to_string(budget);
 
-        // Sync flavor: owned reads.
+        // Blocking helper: owned reads.
         for (const auto &[first, count] : straddlingRanges()) {
             const ReadResult result =
                 service.readRange(first, count, RequestOptions{});
@@ -224,20 +239,20 @@ TEST_P(ReadPathRoundTrip, ServiceRangesPinEvictedChunks)
                 label + " readRange");
         }
 
-        // Callback flavor: every range in flight at once, spans read
-        // back on this thread after the cache has moved on.
+        // submit: every range in flight at once, spans read back on
+        // this thread after the cache has moved on.
         const auto ranges = straddlingRanges();
-        std::vector<std::promise<SpanResult>> done(ranges.size());
-        for (size_t i = 0; i < ranges.size(); i++) {
-            service.readRangeCallback(
-                ranges[i].first, ranges[i].second,
-                [&done, i](SpanResult result) {
-                    done[i].set_value(std::move(result));
-                },
-                RequestOptions{});
+        std::vector<std::future<SpanResult>> done;
+        for (const auto &[first, count] : ranges) {
+            auto promise = std::make_shared<std::promise<SpanResult>>();
+            done.push_back(promise->get_future());
+            service.submit(first, count, RequestOptions{},
+                           [promise](SpanResult result) {
+                               promise->set_value(std::move(result));
+                           });
         }
         for (size_t i = 0; i < ranges.size(); i++) {
-            const SpanResult result = done[i].get_future().get();
+            const SpanResult result = done[i].get();
             ASSERT_TRUE(result.ok()) << result.error.toString();
             const auto &[first, count] = ranges[i];
             EXPECT_EQ(result.readCount(), count);
@@ -245,7 +260,7 @@ TEST_P(ReadPathRoundTrip, ServiceRangesPinEvictedChunks)
                 materialize(result).reads,
                 std::vector<Read>(stored_.begin() + first,
                                   stored_.begin() + first + count),
-                label + " readRangeCallback spans");
+                label + " submit spans");
         }
         EXPECT_LE(service.stats().cache.residentBytes, budget);
     }

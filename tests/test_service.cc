@@ -2,7 +2,7 @@
  * @file
  * Tests for the concurrent archive service layer (service/service.hh):
  * ChunkCache LRU/eviction/single-flight semantics, the request
- * scheduler's priority ordering, sync/async/callback request APIs,
+ * scheduler's priority ordering, submit() and its blocking helpers,
  * per-client sessions with readahead, and the acceptance stress test —
  * many clients over a FileSource-backed archive with a tiny cache
  * budget must produce byte-identical reads vs one sequential
@@ -15,6 +15,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
+#include <memory>
 #include <thread>
 
 #include "core/sage.hh"
@@ -57,6 +59,20 @@ payloadBytes(const std::vector<Read> &reads)
     for (const Read &read : reads)
         bytes += read.header.size() + read.bases.size() + read.quals.size();
     return bytes;
+}
+
+/** submit() with a future for its pinned-span outcome. */
+std::future<SpanResult>
+submitAsync(SageArchiveService &service, uint64_t first, uint64_t count,
+            RequestOptions options = {})
+{
+    auto promise = std::make_shared<std::promise<SpanResult>>();
+    std::future<SpanResult> future = promise->get_future();
+    service.submit(first, count, std::move(options),
+                   [promise](SpanResult result) {
+                       promise->set_value(std::move(result));
+                   });
+    return future;
 }
 
 /** A decoded chunk of @p reads copies with ~@p bytes_each payload. */
@@ -461,8 +477,9 @@ TEST_F(ServiceTest, ReadRangeMatchesSequentialReader)
     EXPECT_EQ(service.readCount(), expected_.size());
 
     // Whole archive in one request.
-    expectSameReads(service.readRange(0, service.readCount()),
-                    expected_);
+    const ReadResult whole = service.readRange(0, service.readCount());
+    ASSERT_TRUE(whole.ok());
+    expectSameReads(whole.reads, expected_);
     uint64_t served_reads = expected_.size();
     uint64_t served_bytes = payloadBytes(expected_);
 
@@ -471,8 +488,9 @@ TEST_F(ServiceTest, ReadRangeMatchesSequentialReader)
         for (uint64_t count : {0ull, 1ull, 64ull, 129ull}) {
             if (first + count > expected_.size())
                 continue;
-            const std::vector<Read> got =
-                service.readRange(first, count);
+            const ReadResult result = service.readRange(first, count);
+            ASSERT_TRUE(result.ok());
+            const std::vector<Read> &got = result.reads;
             const std::vector<Read> want(
                 expected_.begin() + static_cast<ptrdiff_t>(first),
                 expected_.begin() +
@@ -499,7 +517,9 @@ TEST_F(ServiceTest, ReadChunkMatchesReaderChunks)
     SageArchiveService service(source);
     uint64_t first = 0;
     for (size_t c = 0; c < chunks_; c++) {
-        const std::vector<Read> got = service.readChunk(c);
+        const ReadResult result = service.readChunk(c);
+        ASSERT_TRUE(result.ok());
+        const std::vector<Read> &got = result.reads;
         const std::vector<Read> want(
             expected_.begin() + static_cast<ptrdiff_t>(first),
             expected_.begin() +
@@ -510,24 +530,37 @@ TEST_F(ServiceTest, ReadChunkMatchesReaderChunks)
     EXPECT_EQ(first, expected_.size());
 }
 
-TEST_F(ServiceTest, AsyncAndCallbackFlavorsMatchSync)
+TEST_F(ServiceTest, SubmitSpansMatchBlockingHelpers)
 {
     SageArchiveService service(path_);
-    auto future_a = service.readRangeAsync(0, 100);
-    auto future_b = service.readChunkAsync(1);
-    expectSameReads(future_a.get(),
-                    {expected_.begin(), expected_.begin() + 100});
-    const std::vector<Read> chunk1 = service.readChunk(1);
-    expectSameReads(future_b.get(), chunk1);
+    // Three submissions in flight at once: a range from the start, all
+    // of chunk 1, and a range straddling the chunk 0/1 boundary.
+    auto range = submitAsync(service, 0, 100);
+    auto chunk1 = submitAsync(service, service.chunkFirstRead(1),
+                              service.chunkReadCount(1));
+    auto straddle = submitAsync(service, 5, 70);
 
-    std::promise<std::vector<Read>> done;
-    service.readRangeCallback(
-        5, 70,
-        [&](std::vector<Read> reads) {
-            done.set_value(std::move(reads));
-        });
-    expectSameReads(done.get_future().get(),
-                    {expected_.begin() + 5, expected_.begin() + 75});
+    const auto expectSameAsBlocking =
+        [&](const SpanResult &spans, const ReadResult &blocking,
+            uint64_t first, uint64_t count) {
+            ASSERT_TRUE(spans.ok());
+            ASSERT_TRUE(blocking.ok());
+            EXPECT_EQ(spans.readCount(), count);
+            EXPECT_EQ(spans.payloadBytes(),
+                      payloadBytes(blocking.reads));
+            expectSameReads(materialize(spans).reads, blocking.reads);
+            expectSameReads(
+                blocking.reads,
+                {expected_.begin() + static_cast<ptrdiff_t>(first),
+                 expected_.begin() +
+                     static_cast<ptrdiff_t>(first + count)});
+        };
+    expectSameAsBlocking(range.get(), service.readRange(0, 100), 0, 100);
+    expectSameAsBlocking(chunk1.get(), service.readChunk(1),
+                         service.chunkFirstRead(1),
+                         service.chunkReadCount(1));
+    expectSameAsBlocking(straddle.get(), service.readRange(5, 70), 5,
+                         70);
 }
 
 TEST_F(ServiceTest, SessionWalksArchiveInStoredOrder)
@@ -584,7 +617,10 @@ TEST_F(ServiceTest, DnaOnlyServiceSkipsQuality)
     ServiceOptions options;
     options.dnaOnly = true;
     SageArchiveService service(path_, options);
-    const std::vector<Read> got = service.readRange(0, 64);
+    const ReadResult result = service.readRange(0, 64);
+    ASSERT_TRUE(result.ok());
+    const std::vector<Read> &got = result.reads;
+    ASSERT_EQ(got.size(), 64u);
     for (size_t i = 0; i < got.size(); i++) {
         EXPECT_EQ(got[i].bases, expected_[i].bases) << "read " << i;
         EXPECT_TRUE(got[i].quals.empty()) << "read " << i;
@@ -609,7 +645,7 @@ TEST_F(ServiceTest, SharedExternalPoolAndWarm)
               1u);
     // The warmed chunk now hits without a decode.
     const ChunkCacheStats before = service.stats().cache;
-    service.readChunk(2);
+    ASSERT_TRUE(service.readChunk(2).ok());
     const ChunkCacheStats after = service.stats().cache;
     EXPECT_EQ(after.misses, before.misses);
     EXPECT_GT(after.hits, before.hits);
@@ -617,14 +653,17 @@ TEST_F(ServiceTest, SharedExternalPoolAndWarm)
 
 TEST_F(ServiceTest, DestructorDrainsOutstandingRequests)
 {
-    std::future<std::vector<Read>> abandoned;
+    std::future<SpanResult> abandoned;
     {
         SageArchiveService service(path_);
-        abandoned = service.readRangeAsync(0, expected_.size());
+        abandoned = submitAsync(service, 0, expected_.size());
         // Service destroyed with the request possibly still queued.
     }
-    // The drain guarantees the request completed before teardown.
-    expectSameReads(abandoned.get(), expected_);
+    // The drain guarantees the request completed before teardown, and
+    // its spans pin their chunks past the service's lifetime.
+    const ReadResult result = materialize(abandoned.get());
+    ASSERT_TRUE(result.ok());
+    expectSameReads(result.reads, expected_);
 }
 
 TEST_F(ServiceTest, TinyCacheBudgetStillServesCorrectly)
@@ -633,8 +672,9 @@ TEST_F(ServiceTest, TinyCacheBudgetStillServesCorrectly)
     options.cacheBudgetBytes = 1;  // Effectively uncacheable entries.
     options.cacheShards = 2;
     SageArchiveService service(path_, options);
-    expectSameReads(service.readRange(0, service.readCount()),
-                    expected_);
+    const ReadResult result = service.readRange(0, service.readCount());
+    ASSERT_TRUE(result.ok());
+    expectSameReads(result.reads, expected_);
     const ServiceStats stats = service.stats();
     EXPECT_EQ(stats.cache.residentBytes, 0u);
     EXPECT_GT(stats.cache.evictions + stats.cache.misses, 0u);
@@ -675,10 +715,17 @@ TEST_F(ServiceTest, StressManyClientsByteIdenticalToSequentialReader)
                     }
                 }
             };
+            // A request that did not complete Ok is a failure too.
+            const auto checkResult = [&](const ReadResult &result,
+                                         uint64_t first) {
+                if (!result.ok())
+                    failures++;
+                check(result.reads, first);
+            };
             if (t % 4 == 0) {
                 // Hot client: hammers the first two chunks.
                 for (int it = 0; it < 20; it++)
-                    check(service.readRange(0, 128), 0);
+                    checkResult(service.readRange(0, 128), 0);
             } else if (t % 4 == 1) {
                 // Session client: full sequential walk.
                 ServiceSession session = service.openSession();
@@ -691,22 +738,20 @@ TEST_F(ServiceTest, StressManyClientsByteIdenticalToSequentialReader)
                 for (size_t c = t % chunks_, n = 0; n < chunks_;
                      n++, c = (c + 3) % chunks_) {
                     // chunkReads=64, so chunk c starts at read 64*c.
-                    check(service.readChunk(c),
-                          64 * static_cast<uint64_t>(c));
+                    checkResult(service.readChunk(c),
+                                64 * static_cast<uint64_t>(c));
                 }
             } else {
-                // Async client: overlapping span futures.
-                std::vector<
-                    std::pair<uint64_t,
-                              std::future<std::vector<Read>>>>
+                // Async client: overlapping submissions.
+                std::vector<std::pair<uint64_t, std::future<SpanResult>>>
                     pending;
                 for (uint64_t first = t; first + 97 < expected_.size();
                      first += 101) {
                     pending.emplace_back(
-                        first, service.readRangeAsync(first, 97));
+                        first, submitAsync(service, first, 97));
                 }
                 for (auto &[first, future] : pending)
-                    check(future.get(), first);
+                    checkResult(materialize(future.get()), first);
             }
         });
     }
@@ -806,8 +851,7 @@ TEST_F(ServiceQosTest, CancellationRacingCompletionNeverWedges)
         CancelSource source;
         RequestOptions options;
         options.cancel = source.token();
-        auto future =
-            service.readRangeAsync(0, expected_.size(), options);
+        auto future = submitAsync(service, 0, expected_.size(), options);
         std::thread canceller([&] {
             if (round % 4 != 0) {
                 std::this_thread::sleep_for(
@@ -815,7 +859,7 @@ TEST_F(ServiceQosTest, CancellationRacingCompletionNeverWedges)
             }
             source.cancel();
         });
-        ReadResult result = future.get();
+        const ReadResult result = materialize(future.get());
         canceller.join();
         if (result.status == RequestStatus::Ok) {
             ok_count++;
@@ -877,11 +921,9 @@ TEST_F(ServiceQosTest, InteractiveOvertakesBacklogViaDeadline)
     service_options.ownedPoolThreads = 1;
     service_options.cacheBudgetBytes = 0;  // Every request decodes.
     SageArchiveService service(path_, service_options);
-    std::vector<std::future<std::vector<Read>>> backlog;
-    for (int i = 0; i < 16; i++) {
-        backlog.push_back(
-            service.readRangeAsync(0, expected_.size()));
-    }
+    std::vector<std::future<SpanResult>> backlog;
+    for (int i = 0; i < 16; i++)
+        backlog.push_back(submitAsync(service, 0, expected_.size()));
     RequestOptions options;
     options.priority = RequestPriority::Interactive;
     options.deadline = RequestOptions::deadlineIn(0.050);
@@ -898,8 +940,11 @@ TEST_F(ServiceQosTest, InteractiveOvertakesBacklogViaDeadline)
     // Generous bound: the point is "not the whole backlog" — 16 full
     // walks take far longer than this on one worker.
     EXPECT_LT(waited, 5.0);
-    for (auto &future : backlog)
-        EXPECT_EQ(future.get().size(), expected_.size());
+    for (auto &future : backlog) {
+        const SpanResult done = future.get();
+        EXPECT_TRUE(done.ok());
+        EXPECT_EQ(done.readCount(), expected_.size());
+    }
 }
 
 TEST_F(ServiceQosTest, StatsSnapshotIsConsistentUnderLoad)
@@ -947,8 +992,8 @@ TEST_F(ServiceQosTest, StatsSnapshotIsConsistentUnderLoad)
                     RequestOptions options;
                     options.priority = RequestPriority::Interactive;
                     options.cancel = source.token();
-                    auto future = service.readRangeAsync(
-                        0, expected_.size(), options);
+                    auto future = submitAsync(
+                        service, 0, expected_.size(), options);
                     if (i % 2 == 0)
                         source.cancel();
                     future.get();
