@@ -14,7 +14,6 @@
 #include "util/bitio.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
-#include "util/thread_pool.hh"
 #include "util/varint.hh"
 
 namespace sage {
@@ -40,15 +39,6 @@ constexpr uint64_t kMaxBasesReserveBytes = uint64_t{1} << 20;
  *  the arena grows as reads arrive, for the same reason. */
 constexpr uint64_t kMaxBatchReserveBytes = uint64_t{256} << 20;
 
-/** Host-stream field of stored-order read @p index (empty when the
- *  stream was skipped or does not cover the read). */
-std::string_view
-hostField(const std::vector<std::string> &stream, uint64_t index)
-{
-    return index < stream.size() ? std::string_view(stream[index])
-                                 : std::string_view();
-}
-
 } // namespace
 
 /**
@@ -64,8 +54,7 @@ hostField(const std::vector<std::string> &stream, uint64_t index)
  */
 struct SageDecoder::ChunkCursor
 {
-    ChunkCursor(const ChunkSlice &slice, ChunkBytes &&fetched)
-        : bytes(std::move(fetched)), remaining(slice.readCount)
+    explicit ChunkCursor(ChunkBytes &&fetched) : bytes(std::move(fetched))
     {
         auto reader = [&](unsigned s) {
             return BitReader(bytes.data[s], bytes.sizes[s]);
@@ -94,7 +83,6 @@ struct SageDecoder::ChunkCursor
      *  reader here. */
     size_t escapeByte = 0;
     uint64_t prevPrimary = 0;
-    uint64_t remaining;
 };
 
 SageDecoder::SageDecoder(const ByteSource &source, bool dna_only,
@@ -137,34 +125,15 @@ SageDecoder::tryOpen(const ByteSource &source, bool dna_only,
     return StatusOr<std::unique_ptr<SageDecoder>>(std::move(decoder));
 }
 
-SageDecoder::~SageDecoder()
-{
-    // An in-flight prefetch task references this decoder; wait it out.
-    std::unique_lock<std::mutex> lock(prefetchMutex_);
-    prefetchCv_.wait(lock, [&] {
-        return prefetchState_ != PrefetchState::InFlight;
-    });
-}
+SageDecoder::~SageDecoder() = default;
 
-void
-SageDecoder::setPrefetchPool(ThreadPool *pool)
-{
-    std::unique_lock<std::mutex> lock(prefetchMutex_);
-    prefetchCv_.wait(lock, [&] {
-        return prefetchState_ != PrefetchState::InFlight;
-    });
-    prefetchState_ = PrefetchState::Idle;
-    prefetchBytes_ = ChunkBytes{};
-    prefetchPool_ = pool;
-}
-
-size_t
-SageDecoder::planChunkFetch(const ChunkSlice &slice, ChunkBytes &bytes,
-                            FetchExtents &fetch) const
+StatusOr<SageDecoder::ChunkBytes>
+SageDecoder::tryFetchChunkBytes(const ChunkSlice &slice) const
 {
     // Zero-copy views where the source provides them; everything else
     // lands in one owned buffer through one batched read (FileSource
     // coalesces the slices into preadv calls).
+    ChunkBytes bytes;
     std::array<uint64_t, kChunkStreamCount> offsets{};
     size_t owned = 0;
     for (unsigned s = 0; s < kChunkStreamCount; s++) {
@@ -177,6 +146,7 @@ SageDecoder::planChunkFetch(const ChunkSlice &slice, ChunkBytes &bytes,
             owned += bytes.sizes[s];
     }
     bytes.owned.resize(owned);
+    std::array<ByteSource::Extent, kChunkStreamCount> fetch;
     size_t fetches = 0, at = 0;
     for (unsigned s = 0; s < kChunkStreamCount; s++) {
         if (bytes.sizes[s] == 0 || bytes.data[s])
@@ -186,104 +156,12 @@ SageDecoder::planChunkFetch(const ChunkSlice &slice, ChunkBytes &bytes,
         fetch[fetches++] = {offsets[s], dst, bytes.sizes[s]};
         at += bytes.sizes[s];
     }
-    return fetches;
-}
-
-StatusOr<SageDecoder::ChunkBytes>
-SageDecoder::tryFetchChunkBytes(const ChunkSlice &slice) const
-{
-    ChunkBytes bytes;
-    FetchExtents fetch;
-    const size_t fetches = planChunkFetch(slice, bytes, fetch);
     if (fetches > 0) {
         Status status = source_->tryReadBatch(fetch.data(), fetches);
         if (!status.ok())
             return status;
     }
     return StatusOr<ChunkBytes>(std::move(bytes));
-}
-
-SageDecoder::ChunkBytes
-SageDecoder::fetchChunkBytes(const ChunkSlice &slice) const
-{
-    ChunkBytes bytes;
-    FetchExtents fetch;
-    const size_t fetches = planChunkFetch(slice, bytes, fetch);
-    if (fetches > 0)
-        source_->readBatch(fetch.data(), fetches);
-    return bytes;
-}
-
-void
-SageDecoder::startPrefetch(size_t chunk)
-{
-    {
-        std::lock_guard<std::mutex> lock(prefetchMutex_);
-        // The slot can still be busy with a speculation a random
-        // access abandoned; never stack fetches behind it.
-        if (prefetchState_ != PrefetchState::Idle)
-            return;
-        prefetchState_ = PrefetchState::InFlight;
-        prefetchChunk_ = chunk;
-    }
-    prefetchPool_->submit([this, chunk] {
-        ChunkBytes bytes = fetchChunkBytes(chunks_[chunk]);
-        std::lock_guard<std::mutex> lock(prefetchMutex_);
-        prefetchBytes_ = std::move(bytes);
-        prefetchState_ = PrefetchState::Ready;
-        prefetchCv_.notify_all();
-    });
-}
-
-bool
-SageDecoder::takePrefetched(size_t chunk, ChunkBytes &out)
-{
-    std::unique_lock<std::mutex> lock(prefetchMutex_);
-    // Wait only for a fetch of the chunk we want; an in-flight fetch
-    // of some other chunk means a random access jumped past the
-    // speculation — fetch inline instead of blocking behind it (its
-    // stale payload is discarded by a later take).
-    prefetchCv_.wait(lock, [&] {
-        return prefetchState_ != PrefetchState::InFlight ||
-            prefetchChunk_ != chunk;
-    });
-    if (prefetchState_ == PrefetchState::InFlight)
-        return false;
-    const bool hit =
-        prefetchState_ == PrefetchState::Ready && prefetchChunk_ == chunk;
-    if (hit)
-        out = std::move(prefetchBytes_);
-    prefetchBytes_ = ChunkBytes{};
-    prefetchState_ = PrefetchState::Idle;
-    return hit;
-}
-
-std::unique_ptr<SageDecoder::ChunkCursor>
-SageDecoder::openChunk(size_t index)
-{
-    if (!prefetchPool_)
-        return std::make_unique<ChunkCursor>(
-            chunks_[index], fetchChunkBytes(chunks_[index]));
-
-    // Double buffering: adopt the slices fetched behind chunk index-1
-    // (or fetch in line on a miss — first chunk, or a range jump),
-    // then put the slot to work on chunk index+1 while the caller
-    // decodes this one. Speculate only while the walk looks
-    // sequential (first open, successor of the last open, or a
-    // prefetch hit): scattered random access would otherwise pay a
-    // wasted full-chunk fetch per open.
-    ChunkBytes bytes;
-    const bool hit = takePrefetched(index, bytes);
-    if (!hit)
-        bytes = fetchChunkBytes(chunks_[index]);
-    const bool sequential = hit ||
-        lastOpenedChunk_ == SIZE_MAX ||
-        index == lastOpenedChunk_ + 1;
-    lastOpenedChunk_ = index;
-    if (sequential && index + 1 < chunks_.size())
-        startPrefetch(index + 1);
-    return std::make_unique<ChunkCursor>(chunks_[index],
-                                         std::move(bytes));
 }
 
 void
@@ -346,16 +224,16 @@ try {
         StatusOr<std::vector<uint8_t>> headers = gpzip::tryDecompress(raw);
         if (!headers.ok())
             return headers.status();
-        const std::vector<uint8_t> &header_bytes = headers.value();
-        std::string cur;
-        for (uint8_t byte : header_bytes) {
-            if (byte == '\n') {
-                headers_.push_back(cur);
-                cur.clear();
-            } else {
-                cur.push_back(static_cast<char>(byte));
-            }
-        }
+        // Headers stay the flat '\n'-separated gpzip output; each
+        // field ends at its newline (an unterminated tail is dropped).
+        headers_.bytes = std::move(headers.value());
+        headers_.gap = 1;
+        const auto begin = headers_.bytes.begin();
+        for (auto at = begin;
+             (at = std::find(at, headers_.bytes.end(), '\n')) !=
+             headers_.bytes.end();
+             ++at)
+            headers_.ends.push_back(static_cast<uint64_t>(at - begin));
     }
     if (dir_.has("order")) {
         status = dir_.tryLoad(*source_, "order", raw);
@@ -364,6 +242,15 @@ try {
         size_t pos = 0;
         while (pos < raw.size())
             order_.push_back(static_cast<uint32_t>(getVarint(raw, pos)));
+        // SageReader scatters every stored read to its slot through
+        // this permutation: one in-range entry per read.
+        sage_check_data(order_.size() == params.numReads, Corrupt,
+                        "order stream holds ", order_.size(),
+                        " entries for ", params.numReads, " reads");
+        for (const uint32_t index : order_) {
+            sage_check_data(index < order_.size(), Corrupt,
+                            "order index ", index, " out of range");
+        }
     }
     if (!dna_only && params.hasQuality && dir_.has("quality")) {
         status = dir_.tryLoad(*source_, "quality", raw);
@@ -378,10 +265,14 @@ try {
         qa.alphabet.assign(packed.begin() + pos,
                            packed.begin() + pos + alpha_len);
         pos += alpha_len;
+        // Read lengths become prefix sums: quality field i ends at
+        // quals_.ends[i] in the concatenated block output.
         const uint64_t reads = getVarint(packed, pos);
-        for (uint64_t i = 0; i < reads; i++)
-            qa.readLengths.push_back(
-                static_cast<uint32_t>(getVarint(packed, pos)));
+        uint64_t end = 0;
+        for (uint64_t i = 0; i < reads; i++) {
+            end += static_cast<uint32_t>(getVarint(packed, pos));
+            quals_.ends.push_back(end);
+        }
         const uint64_t blocks = getVarint(packed, pos);
         for (uint64_t b = 0; b < blocks; b++) {
             qa.blockChars.push_back(getVarint(packed, pos));
@@ -392,7 +283,14 @@ try {
                                    packed.begin() + pos + size);
             pos += size;
         }
-        quals_ = decompressQuality(qa);
+        quals_.bytes.reserve(qa.totalChars());
+        for (size_t b = 0; b < qa.blocks.size(); b++) {
+            const std::string block = decompressQualityBlock(qa, b);
+            quals_.bytes.insert(quals_.bytes.end(), block.begin(),
+                                block.end());
+        }
+        sage_check_data(end == quals_.bytes.size(), Corrupt,
+                        "quality archive length mismatch");
     }
 
     matchCodec_ = std::make_unique<TunedFieldCodec>(params.matchPos);
@@ -490,32 +388,8 @@ SageDecoder::decodeLength(BitReader &rla, BitReader &rlga) const
     return length;
 }
 
-Read
-SageDecoder::decodeOne(ChunkCursor &cur, uint64_t read_index,
-                       uint64_t &events, bool consume_host)
-{
-    Read read;
-    // On the one-shot paths headers and quality strings are emitted
-    // exactly once per read, so they move out of the decoder; random
-    // chunk access copies so a chunk can be decoded repeatedly.
-    if (read_index < headers_.size()) {
-        read.header = consume_host ? std::move(headers_[read_index])
-                                   : headers_[read_index];
-    }
-    // Reverse strands flip through the SIMD kernel without an extra
-    // per-read allocation (thread-local scratch in alphabet.cc).
-    if (decodeOriented(cur, events, read.bases))
-        reverseComplementInPlace(read.bases);
-    if (read_index < quals_.size()) {
-        read.quals = consume_host ? std::move(quals_[read_index])
-                                  : quals_[read_index];
-    }
-    return read;
-}
-
 bool
-SageDecoder::decodeOriented(ChunkCursor &cur, uint64_t &events,
-                            std::string &bases) const
+SageDecoder::decodeOriented(ChunkCursor &cur, std::string &bases) const
 {
     const SageParams &params = info_.params;
     bases.clear();
@@ -620,7 +494,6 @@ SageDecoder::decodeOriented(ChunkCursor &cur, uint64_t &events,
                 }
             }
             first_event_of_read = false;
-            events++;
 
             // Copy the consensus run up to the event position.
             if (read_i < event_pos) {
@@ -709,87 +582,6 @@ SageDecoder::decodeOriented(ChunkCursor &cur, uint64_t &events,
     return reverse;
 }
 
-Read
-SageDecoder::next()
-{
-    sage_assert(hasNext(), "decoder exhausted");
-    while (!cursor_ || cursor_->remaining == 0) {
-        sage_assert(nextChunk_ < chunks_.size(),
-                    "chunk table exhausted before read count");
-        cursor_ = openChunk(nextChunk_++);
-    }
-    cursor_->remaining--;
-    Read read = decodeOne(*cursor_, emitted_, events_,
-                          /*consume_host=*/true);
-    emitted_++;
-    return read;
-}
-
-bool
-SageDecoder::canDecodeParallel(const ThreadPool *pool,
-                               size_t count) const
-{
-    return pool && pool->threadCount() > 1 && count > 1;
-}
-
-// Chunks are independent slices: decode them concurrently, each worker
-// fetching its own chunk's byte slices and delivering to disjoint
-// stored-order indices (so stored order is preserved by construction,
-// and headers/quals move out race-free on the consume paths).
-template <typename Sink>
-void
-SageDecoder::decodeParallel(ThreadPool *pool, size_t first, size_t count,
-                            bool consume_host, const Sink &sink)
-{
-    std::vector<uint64_t> chunk_events(count, 0);
-    pool->parallelFor(count, [&](size_t i) {
-        const ChunkSlice &slice = chunks_[first + i];
-        ChunkCursor cur(slice, fetchChunkBytes(slice));
-        for (uint64_t r = 0; r < slice.readCount; r++) {
-            const uint64_t idx = slice.firstRead + r;
-            sink(idx, decodeOne(cur, idx, chunk_events[i],
-                                consume_host));
-        }
-    });
-    for (uint64_t e : chunk_events)
-        events_ += e;
-}
-
-ReadSet
-SageDecoder::decodeChunks(size_t first, size_t count, ThreadPool *pool)
-{
-    sage_assert(first <= chunks_.size() &&
-                count <= chunks_.size() - first,
-                "chunk range out of bounds");
-    ReadSet rs;
-    if (count == 0)
-        return rs;
-
-    const uint64_t base = chunks_[first].firstRead;
-    const ChunkSlice &last = chunks_[first + count - 1];
-    rs.reads.resize(
-        static_cast<size_t>(last.firstRead + last.readCount - base));
-
-    if (canDecodeParallel(pool, count)) {
-        decodeParallel(pool, first, count, /*consume_host=*/false,
-                       [&](uint64_t idx, Read &&read) {
-                           rs.reads[idx - base] = std::move(read);
-                       });
-    } else {
-        for (size_t c = first; c < first + count; c++) {
-            const ChunkSlice &slice = chunks_[c];
-            const std::unique_ptr<ChunkCursor> cur = openChunk(c);
-            for (uint64_t r = 0; r < slice.readCount; r++) {
-                const uint64_t idx = slice.firstRead + r;
-                rs.reads[static_cast<size_t>(idx - base)] =
-                    decodeOne(*cur, idx, events_,
-                              /*consume_host=*/false);
-            }
-        }
-    }
-    return rs;
-}
-
 uint64_t
 SageDecoder::measureBases(const ChunkCursor &cur, uint64_t reads,
                           uint64_t &max_length) const
@@ -813,7 +605,7 @@ SageDecoder::measureBases(const ChunkCursor &cur, uint64_t reads,
 }
 
 StatusOr<ReadBatch>
-SageDecoder::tryDecodeChunkShared(size_t chunk)
+SageDecoder::tryDecodeChunkShared(size_t chunk) const
 {
     if (chunk >= chunks_.size()) {
         return Status::outOfRange("chunk index ", chunk,
@@ -829,18 +621,17 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
     if (!bytes.ok())
         return bytes.status();
     try {
-        // A private cursor and a local event counter: nothing here
-        // writes decoder state, which is what makes concurrent calls
-        // safe.
-        ChunkCursor cur(slice, std::move(bytes.value()));
+        // A private cursor: nothing here writes decoder state, which
+        // is what makes concurrent calls safe.
+        ChunkCursor cur(std::move(bytes.value()));
 
         // Size the batch exactly before decoding: the host fields are
         // already resident, and a pre-pass over the length stream
         // gives every read's base count.
         uint64_t host_bytes = 0;
         for (uint64_t r = 0; r < slice.readCount; r++) {
-            host_bytes += hostField(headers_, slice.firstRead + r).size() +
-                hostField(quals_, slice.firstRead + r).size();
+            host_bytes += headers_.at(slice.firstRead + r).size() +
+                quals_.at(slice.firstRead + r).size();
         }
         uint64_t max_length = 0;
         const uint64_t base_bytes =
@@ -856,13 +647,11 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
         std::string scratch;
         scratch.reserve(static_cast<size_t>(
             std::min(max_length, kMaxBasesReserveBytes)));
-        uint64_t events = 0;
         for (uint64_t r = 0; r < slice.readCount; r++) {
             const uint64_t index = slice.firstRead + r;
-            const bool reverse = decodeOriented(cur, events, scratch);
-            char *slot = batch.append(hostField(headers_, index),
-                                      scratch.size(),
-                                      hostField(quals_, index));
+            const bool reverse = decodeOriented(cur, scratch);
+            char *slot = batch.append(headers_.at(index), scratch.size(),
+                                      quals_.at(index));
             if (scratch.empty())
                 continue;
             if (reverse)
@@ -884,64 +673,6 @@ SageDecoder::tryDecodeChunkShared(size_t chunk)
     }
 }
 
-ReadSet
-SageDecoder::decodeAll(ThreadPool *pool)
-{
-    ReadSet rs;
-    const uint64_t total = info_.params.numReads;
-
-    if (emitted_ == 0 && canDecodeParallel(pool, chunks_.size())) {
-        rs.reads.resize(total);
-        decodeParallel(pool, 0, chunks_.size(), /*consume_host=*/true,
-                       [&](uint64_t idx, Read &&read) {
-                           rs.reads[idx] = std::move(read);
-                       });
-        emitted_ = total;
-    } else {
-        rs.reads.reserve(total - emitted_);
-        while (hasNext())
-            rs.reads.push_back(next());
-    }
-
-    if (!order_.empty()) {
-        std::vector<Read> restored(rs.reads.size());
-        for (size_t i = 0; i < rs.reads.size(); i++) {
-            sage_assert(order_[i] < restored.size(), "bad order index");
-            restored[order_[i]] = std::move(rs.reads[i]);
-        }
-        rs.reads = std::move(restored);
-    }
-    return rs;
-}
-
-std::vector<std::vector<uint8_t>>
-SageDecoder::decodeAllPacked(OutputFormat fmt, ThreadPool *pool)
-{
-    auto pack = [fmt](const Read &read) {
-        const OutputFormat effective =
-            fmt == OutputFormat::TwoBit && !isAcgtOnly(read.bases)
-                ? OutputFormat::ThreeBit : fmt;
-        return packSequence(read.bases, effective);
-    };
-
-    std::vector<std::vector<uint8_t>> out;
-    const uint64_t total = info_.params.numReads;
-
-    if (emitted_ == 0 && canDecodeParallel(pool, chunks_.size())) {
-        out.resize(total);
-        decodeParallel(pool, 0, chunks_.size(), /*consume_host=*/true,
-                       [&](uint64_t idx, Read &&read) {
-                           out[idx] = pack(read);
-                       });
-        emitted_ = total;
-    } else {
-        out.reserve(total - emitted_);
-        while (hasNext())
-            out.push_back(pack(next()));
-    }
-    return out;
-}
-
 uint64_t
 SageDecoder::workingSetBytes() const
 {
@@ -951,13 +682,6 @@ SageDecoder::workingSetBytes() const
     // 150-bp reconstruction register and two 64-bit double-buffer
     // registers.
     return consensus_.size() + sizeof(ChunkCursor);
-}
-
-ReadSet
-sageDecompress(const std::vector<uint8_t> &archive)
-{
-    SageDecoder decoder(archive);
-    return decoder.decodeAll();
 }
 
 } // namespace sage

@@ -1,49 +1,51 @@
 /**
  * @file
- * SAGe streaming decompressor.
+ * SAGe decompressor: one decode primitive over an immutable archive.
  *
  * Mirrors the hardware datapath (paper §5.2): a Scan Unit walk over the
  * position arrays/guide arrays and a Read Construction Unit walk over
  * the consensus and MBTA, emitting one read at a time with only
- * sequential accesses. The same functional core backs:
+ * sequential accesses. As in the paper, where one datapath serves
+ * every SAGe_Read, the decoder exposes exactly one way to decode:
+ * tryDecodeChunkShared(), which turns one chunk into one flat
+ * ReadBatch of stored-order reads. The same functional core backs:
  *   - SAGeSW (host software decompression, paper §7 config v), and
  *   - the hardware timing model (hw/), which replays the stream sizes
- *     and event counts this decoder reports.
+ *     this decoder reports.
  *
  * The decoder reads the container through a ByteSource
- * (io/byte_stream.hh): headers, chunk table and consensus are parsed
- * up front (a few KB of reads), while the 13 DNA streams are fetched
- * per chunk, exactly when a chunk is opened. Over a FileSource this
- * decodes any chunk subrange without ever loading the full archive;
- * over a MemorySource the per-chunk fetches are zero-copy views. A
- * StripedSource (io/striped.hh) serves chunk fetches from a device
- * array (paper Fig. 15).
+ * (io/byte_stream.hh): headers, chunk table, consensus and the host
+ * streams (read headers, quality, order) are parsed at open, while the
+ * 13 DNA streams are fetched per chunk, exactly when a chunk is
+ * decoded. Over a FileSource this decodes any chunk without ever
+ * loading the full archive; over a MemorySource the per-chunk fetches
+ * are zero-copy views. A StripedSource (io/striped.hh) serves chunk
+ * fetches from a device array (paper Fig. 15).
  *
  * Container v2 archives carry a chunk index (format.hh): each chunk is
  * an independently decodable slice of the read set, the software
- * analogue of the paper's per-Scan-Unit slices. decodeAll(),
- * decodeAllPacked() and decodeChunks() accept an optional ThreadPool
- * and fan chunks across it, preserving output order; the sequential
- * next() API walks the chunks in order. v1 archives load as a single
- * chunk.
+ * analogue of the paper's per-Scan-Unit slices. v1 archives load as a
+ * single chunk.
  *
- * Most users should prefer the session API (io/session.hh:
- * SageWriter/SageReader) over constructing a SageDecoder directly.
+ * The decoder is immutable after open and tryDecodeChunkShared() is
+ * const, so any number of threads may decode chunks of one decoder
+ * concurrently. It holds no cursor: the sequential walk, the
+ * whole-archive and packed decodes, the order restoration and the
+ * decode-ahead all live in SageReader (io/session.hh), which is what
+ * most users should open instead of a SageDecoder.
  */
 
 #ifndef SAGE_CORE_DECODER_HH
 #define SAGE_CORE_DECODER_HH
 
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/format.hh"
 #include "genomics/alphabet.hh"
-#include "genomics/read.hh"
 #include "genomics/read_batch.hh"
 #include "io/byte_stream.hh"
 #include "io/container.hh"
@@ -51,7 +53,6 @@
 namespace sage {
 
 class BitReader;
-class ThreadPool;
 
 /** Per-archive structural info used by the hardware timing model. */
 struct ArchiveInfo
@@ -64,13 +65,13 @@ struct ArchiveInfo
     uint64_t dnaStreamBytes() const;
 };
 
-/** Streaming decoder over a SAGe archive. */
+/** Chunk decoder over a SAGe archive (see file comment). */
 class SageDecoder
 {
   public:
     /**
      * Parse headers through @p source; cheap (the DNA streams are not
-     * read until chunks are opened). The source must outlive us.
+     * read until chunks are decoded). The source must outlive us.
      *
      * @param dna_only skip the host-side quality/header streams: the
      *        read-mapping pipeline never touches quality scores (paper
@@ -86,9 +87,9 @@ class SageDecoder
 
     /**
      * Legacy whole-buffer constructor: wraps @p archive in a
-     * MemorySource and always verifies the container CRC (matching the
-     * historical sageDecompress contract: any bit flip is fatal before
-     * any read is produced). The archive bytes must outlive us.
+     * MemorySource and always verifies the container CRC (any bit flip
+     * is fatal before any read is produced). The archive bytes must
+     * outlive us.
      */
     explicit SageDecoder(const std::vector<uint8_t> &archive,
                          bool dna_only = false);
@@ -124,92 +125,34 @@ class SageDecoder
      *  pipeline model to overlap chunk I/O with decode. */
     std::vector<uint64_t> chunkCompressedBytes() const;
 
-    /** True while reads remain. */
-    bool hasNext() const { return emitted_ < info_.params.numReads; }
-
     /**
-     * Decode the next read's bases (and quality if present).
-     * Reads come out in stored order (matching-position order).
-     */
-    Read next();
-
-    /**
-     * Decode chunks [@p first, @p first + @p count) into stored-order
-     * reads, fetching only those chunks' byte slices from the source.
-     * Independent of the sequential next() cursor and repeatable: it
-     * never consumes decoder state, so the same range can be decoded
-     * twice. No original-order restoration (the permutation is global);
-     * reads match the corresponding decodeAll() slice in stored order.
-     * With a pool, chunks in the range decode in parallel.
-     */
-    ReadSet decodeChunks(size_t first, size_t count,
-                         ThreadPool *pool = nullptr);
-
-    /**
-     * Decode chunk @p chunk alone into one flat ReadBatch of
-     * stored-order reads — the service layer's decode-into-cache entry
-     * point. The batch is sized exactly before decoding (the host
-     * fields are resident and a pre-pass over the length stream gives
-     * the base count), each read decodes into one reused scratch
+     * The decode primitive: decode chunk @p chunk alone into one flat
+     * ReadBatch of stored-order reads (header, bases and quality; the
+     * host fields are empty when the archive was opened DNA-only or
+     * carries none). The batch is sized exactly before decoding (the
+     * host fields are resident and a pre-pass over the length stream
+     * gives the base count), each read decodes into one reused scratch
      * string and is copied into its arena slot, so a chunk costs a
      * constant handful of allocations whatever its read count.
      *
-     * Unlike the other decode calls this touches no sequential,
-     * prefetch or event state, so any number of threads may call it
-     * concurrently on one decoder (each call fetches its own byte
-     * slices through the thread-safe ByteSource and copies
-     * headers/quality rather than consuming them; the same chunk
-     * decodes repeatably). Must not be mixed with a concurrent
-     * decodeAll()/decodeAllPacked(), which move the host streams out.
-     * Decoded mismatch events are not added to eventsDecoded().
+     * Writes no decoder state: any number of threads may call it
+     * concurrently, each fetching its own byte slices through the
+     * thread-safe ByteSource, and the same chunk decodes repeatably.
      *
-     * I/O failures and corrupt chunk data come back as a Status
-     * instead of aborting, so one bad chunk degrades one request, not
-     * the process.
+     * I/O failures (through the source's recoverable read path),
+     * corrupt chunk data and an out-of-range @p chunk come back as a
+     * Status instead of aborting, so one bad chunk degrades one
+     * request, not the process.
      */
-    StatusOr<ReadBatch> tryDecodeChunkShared(size_t chunk);
-
-    /**
-     * Decode everything into a ReadSet (restores original order when
-     * the archive preserved it). With a pool and a multi-chunk archive,
-     * chunks decode in parallel; the result is identical to the
-     * sequential path. One-shot: headers and quality strings move out
-     * of the decoder, so later decodeChunks() calls see them empty.
-     */
-    ReadSet decodeAll(ThreadPool *pool = nullptr);
-
-    /**
-     * Decode everything into packed analysis format — what SAGe_Read
-     * hands to an accelerator (paper §5.4): per-read packed bases.
-     * Optionally chunk-parallel, like decodeAll().
-     */
-    std::vector<std::vector<uint8_t>>
-    decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr);
-
-    /**
-     * Enable prefetch-next-chunk mode: while the sequential decode
-     * paths (next(), and decodeChunks()/decodeAll() without a decode
-     * pool) work through chunk i, a task on @p pool fetches chunk
-     * i+1's byte slices through the ByteSource, so real FileSource /
-     * StripedSource I/O overlaps decode — the host-software analogue
-     * of the paper's NAND-streaming/decode double buffering (§5.2.2).
-     * Output is byte-identical to non-prefetched decoding.
-     *
-     * The pool must outlive this decoder (one thread is enough: the
-     * fetch task blocks on pread, not CPU). Pass nullptr to disable.
-     * Chunk-parallel decodes ignore the prefetcher — their workers
-     * already overlap fetch and decode per chunk.
-     */
-    void setPrefetchPool(ThreadPool *pool);
+    StatusOr<ReadBatch> tryDecodeChunkShared(size_t chunk) const;
 
     /** Decoder working-set bytes: registers + consensus window model.
      *  (The HW streams the consensus; software keeps it resident.) */
     uint64_t workingSetBytes() const;
 
-    /** Total mismatch events decoded so far (HW model input). */
-    uint64_t eventsDecoded() const { return events_; }
-
   private:
+    friend class SageReader;
+
     struct ChunkCursor;
 
     /** Per-chunk slice bounds resolved from the chunk table. */
@@ -231,6 +174,26 @@ class SageDecoder
         std::array<size_t, kChunkStreamCount> sizes{};
     };
 
+    /** One host stream held flat: field i is bytes[begin, ends[i]),
+     *  where begin is ends[i-1] plus @c gap separator bytes (0 for
+     *  the first field). Fields past ends.size() read as empty. */
+    struct FlatField
+    {
+        std::vector<uint8_t> bytes;
+        std::vector<uint64_t> ends;
+        uint64_t gap = 0;
+
+        std::string_view
+        at(uint64_t i) const
+        {
+            if (i >= ends.size())
+                return {};
+            const uint64_t begin = i == 0 ? 0 : ends[i - 1] + gap;
+            return {reinterpret_cast<const char *>(bytes.data()) + begin,
+                    static_cast<size_t>(ends[i] - begin)};
+        }
+    };
+
     /** tryOpen's blank instance; every member has a safe default. */
     SageDecoder() = default;
 
@@ -240,49 +203,16 @@ class SageDecoder
      *  untrusted container framing, stream tables and host streams. */
     Status tryParseContainer(bool dna_only);
 
-    using FetchExtents =
-        std::array<ByteSource::Extent, kChunkStreamCount>;
-
-    /** Point @p bytes at @p slice's stream slices: views where the
-     *  source has them, the rest at @p bytes.owned, each listed in
-     *  @p fetch for one batched read. Returns the extents listed. */
-    size_t planChunkFetch(const ChunkSlice &slice, ChunkBytes &bytes,
-                          FetchExtents &fetch) const;
-
-    /** Synchronously fetch every stream slice of @p slice through the
-     *  source's fatal read path (the sequential and prefetch decode). */
-    ChunkBytes fetchChunkBytes(const ChunkSlice &slice) const;
-
-    /** Non-fatal fetch of every stream slice of @p slice. */
+    /** Fetch every stream slice of @p slice through the source's
+     *  recoverable read path: views where the source has them, the
+     *  rest copied into one owned buffer by one batched read. */
     StatusOr<ChunkBytes> tryFetchChunkBytes(const ChunkSlice &slice) const;
-
-    /** Queue a background fetch of chunk @p chunk (requires an idle
-     *  prefetch slot; callers take the slot first). */
-    void startPrefetch(size_t chunk);
-
-    /** Claim the prefetch slot: wait out any in-flight fetch, then
-     *  move its payload into @p out when it was for @p chunk.
-     *  Leaves the slot idle. Returns whether @p out was filled. */
-    bool takePrefetched(size_t chunk, ChunkBytes &out);
-
-    /** Open chunk @p index for sequential decode: consume a matching
-     *  prefetched payload (or fetch in line), then kick off the fetch
-     *  of chunk @p index+1 when prefetching is on. */
-    std::unique_ptr<ChunkCursor> openChunk(size_t index);
-
-    /** Decode one read via @p cur; @p read_index is its stored-order
-     *  position (indexes headers_/quals_). @p consume_host moves the
-     *  header/quality strings out (one-shot paths) instead of copying
-     *  (repeatable random access). */
-    Read decodeOne(ChunkCursor &cur, uint64_t read_index,
-                   uint64_t &events, bool consume_host);
 
     /** Decode the next read's bases via @p cur into @p bases (cleared
      *  first; its capacity is reused) in stored orientation. Returns
      *  true when the read is a reverse strand, i.e. @p bases still
      *  needs reverse-complementing. */
-    bool decodeOriented(ChunkCursor &cur, uint64_t &events,
-                        std::string &bases) const;
+    bool decodeOriented(ChunkCursor &cur, std::string &bases) const;
 
     /** Decode one variable read length from the length stream
      *  (Corrupt past 2^31 bases). */
@@ -294,15 +224,10 @@ class SageDecoder
     uint64_t measureBases(const ChunkCursor &cur, uint64_t reads,
                           uint64_t &max_length) const;
 
-    /** True when a chunk range may fan out across @p pool. */
-    bool canDecodeParallel(const ThreadPool *pool, size_t count) const;
-
-    /** Fan chunks [first, first+count) across @p pool, calling
-     *  sink(index, Read&&) for every read (indices are disjoint across
-     *  workers). Requires canDecodeParallel(pool, count). */
-    template <typename Sink>
-    void decodeParallel(ThreadPool *pool, size_t first, size_t count,
-                        bool consume_host, const Sink &sink);
+    /** Stored-to-original read index permutation (empty unless the
+     *  archive preserved input order); validated at open. SageReader
+     *  scatters whole-archive decodes through it. */
+    const std::vector<uint32_t> &order() const { return order_; }
 
     /** Owned backing for the legacy vector constructor. */
     std::unique_ptr<MemorySource> ownedSource_;
@@ -314,39 +239,18 @@ class SageDecoder
     ArchiveInfo info_;
     std::string consensus_;
 
-    // Host-side streams (owned; indexed by stored-order read index).
-    std::vector<std::string> headers_;
-    std::vector<std::string> quals_;
+    // Host-side streams, indexed by stored-order read index.
+    FlatField headers_;
+    FlatField quals_;
     std::vector<uint32_t> order_;
 
-    // Field codecs are immutable after construction and shared by all
-    // chunk cursors (decode() is const and thread-safe).
+    // Field codecs: immutable after open, shared by all chunk cursors
+    // (decode() is const and thread-safe).
     std::unique_ptr<const TunedFieldCodec> matchCodec_, lenCodec_,
         countCodec_, posCodec_, segposCodec_, seglenCodec_;
 
     std::vector<ChunkSlice> chunks_;
-    std::unique_ptr<ChunkCursor> cursor_;  ///< Sequential next() state.
-    size_t nextChunk_ = 0;                 ///< Next chunk to open.
-    uint64_t emitted_ = 0;
-    uint64_t events_ = 0;
-
-    // Prefetch-next-chunk state: a one-deep slot (double buffering —
-    // the chunk being decoded plus the chunk in flight, exactly the
-    // paper's two decompression-window registers).
-    enum class PrefetchState { Idle, InFlight, Ready };
-    ThreadPool *prefetchPool_ = nullptr;
-    std::mutex prefetchMutex_;
-    std::condition_variable prefetchCv_;
-    PrefetchState prefetchState_ = PrefetchState::Idle;
-    size_t prefetchChunk_ = 0;      ///< Chunk the slot refers to.
-    ChunkBytes prefetchBytes_;      ///< Payload when Ready.
-    /** Last chunk openChunk() served; SIZE_MAX before the first open.
-     *  Speculation continues only across sequential opens. */
-    size_t lastOpenedChunk_ = SIZE_MAX;
 };
-
-/** One-call convenience: decode a SAGe archive into a ReadSet. */
-ReadSet sageDecompress(const std::vector<uint8_t> &archive);
 
 } // namespace sage
 

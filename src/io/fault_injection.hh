@@ -5,10 +5,14 @@
  * FaultInjectionSource wraps any ByteSource and perturbs its
  * *recoverable* reads (tryReadAt / tryReadBatch) on a seeded,
  * reproducible schedule: hard I/O errors, short reads, silent
- * bit-flips, and added latency. The fatal entry points (readAt,
- * readBatch) pass through uninjected — they are the "I cannot
- * continue without these bytes" contract (archive open, CLI decode),
- * and injecting there would just abort the process under test.
+ * bit-flips, and added latency. Every decode reads through that path:
+ * archive open, the service's chunk decodes, and SageReader's restore
+ * and prep loops (CLI decompress, decodeAll, decodeAllPacked, next),
+ * which turn a failed chunk into a fatal exit naming the error. The
+ * fatal entry points (readAt, readBatch) pass through uninjected —
+ * they are the "I cannot continue without these bytes" contract of
+ * whole-stream helpers such as StreamDirectory::load, and injecting
+ * there would just abort the process under test.
  *
  * The decision for operation k depends only on (seed, k), so a given
  * schedule always injects the same multiset of faults regardless of

@@ -1,6 +1,9 @@
 #include "io/session.hh"
 
+#include <algorithm>
+#include <condition_variable>
 #include <iterator>
+#include <mutex>
 
 #include "compress/streams.hh"
 #include "util/logging.hh"
@@ -93,6 +96,11 @@ SageReader::SageReader(const std::string &path, SageReaderOptions options)
     enablePrefetch(options);
 }
 
+SageReader::~SageReader()
+{
+    dropAhead();
+}
+
 Status
 SageReader::verify() const
 {
@@ -104,28 +112,218 @@ SageReader::enablePrefetch(const SageReaderOptions &options)
 {
     if (!options.prefetch)
         return;
-    ThreadPool *pool = options.prefetchPool;
-    if (!pool) {
-        // One thread suffices: the fetch task blocks on I/O, not CPU.
-        prefetchPool_ = std::make_unique<ThreadPool>(1);
-        pool = prefetchPool_.get();
+    prefetchPool_ = options.prefetchPool;
+    if (!prefetchPool_) {
+        ownedPrefetchPool_ = std::make_unique<ThreadPool>(1);
+        prefetchPool_ = ownedPrefetchPool_.get();
     }
-    decoder_->setPrefetchPool(pool);
 }
 
-SageReader::~SageReader() = default;
+ReadBatch
+SageReader::checked(size_t chunk, StatusOr<ReadBatch> batch) const
+{
+    if (!batch.ok()) {
+        sage_fatal(source_->describe(), ": chunk ", chunk, ": ",
+                   batch.status().toString());
+    }
+    return std::move(batch.value());
+}
+
+void
+SageReader::dropAhead()
+{
+    // The task uses the decoder: it may not outlive the reader (or run
+    // on into a fatal exit).
+    if (ahead_.valid())
+        ahead_.wait();
+    ahead_ = {};
+}
+
+ReadBatch
+SageReader::walkChunk(size_t chunk, size_t end)
+{
+    std::future<StatusOr<ReadBatch>> mine;
+    if (ahead_.valid() && aheadChunk_ == chunk)
+        mine = std::move(ahead_);
+    else
+        dropAhead();  // None, or one a jump in the walk left behind.
+    if (prefetchPool_ && chunk + 1 < end) {
+        auto task =
+            std::make_shared<std::packaged_task<StatusOr<ReadBatch>()>>(
+                [decoder = decoder_.get(), next = chunk + 1] {
+                    return decoder->tryDecodeChunkShared(next);
+                });
+        ahead_ = task->get_future();
+        aheadChunk_ = chunk + 1;
+        prefetchPool_->submit([task] { (*task)(); });
+    }
+    StatusOr<ReadBatch> batch = mine.valid()
+        ? mine.get() : decoder_->tryDecodeChunkShared(chunk);
+    if (!batch.ok())
+        dropAhead();
+    return checked(chunk, std::move(batch));
+}
+
+void
+SageReader::forEachChunk(size_t first, size_t end, ThreadPool *pool,
+                         const ChunkFn &fn)
+{
+    const size_t count = end - first;
+    const size_t lanes = pool ? std::min(pool->threadCount(), count) : 0;
+    if (lanes < 2) {
+        for (size_t c = first; c < end; c++)
+            fn(c, walkChunk(c, end));
+        return;
+    }
+    // Lane k decodes chunks k, k + lanes, ... of the range, each only
+    // once this thread has consumed (and freed) the lane's previous
+    // one: a worker holds one batch at a time, which keeps its malloc
+    // arena one batch deep. fn runs here, in chunk order.
+    std::vector<std::promise<StatusOr<ReadBatch>>> decoded(count);
+    std::vector<std::future<StatusOr<ReadBatch>>> ready;
+    for (auto &promise : decoded)
+        ready.push_back(promise.get_future());
+    std::mutex mutex;
+    std::condition_variable freed;
+    size_t consumed = 0;  // Chunks of the range done with; by mutex.
+    for (size_t k = 0; k < lanes; k++) {
+        pool->submit([&, k] {
+            for (size_t i = k; i < count; i += lanes) {
+                {
+                    std::unique_lock<std::mutex> lock(mutex);
+                    freed.wait(lock, [&] { return i < consumed + lanes; });
+                }
+                decoded[i].set_value(
+                    decoder_->tryDecodeChunkShared(first + i));
+            }
+        });
+    }
+    const auto consume = [&](size_t i) {
+        StatusOr<ReadBatch> batch = ready[i].get();
+        if (batch.ok())
+            fn(first + i, batch.value());
+        return batch.status();
+    };
+    const auto release = [&](size_t done) {
+        {
+            std::lock_guard<std::mutex> lock(mutex);
+            consumed = done;
+        }
+        freed.notify_all();
+    };
+    // The lanes use this frame: every way out joins them first.
+    try {
+        for (size_t i = 0; i < count; i++) {
+            const Status status = consume(i);
+            release(status.ok() ? i + 1 : count);
+            if (!status.ok()) {
+                pool->wait();
+                checked(first + i, status);  // Fatal: does not return.
+            }
+        }
+    } catch (...) {
+        release(count);
+        pool->wait();
+        throw;
+    }
+    pool->wait();
+}
 
 std::vector<Read>
-SageReader::readChunk(size_t chunk)
+SageReader::readChunk(size_t chunk) const
 {
-    return decoder_->decodeChunks(chunk, 1).reads;
+    const ReadBatch batch =
+        checked(chunk, decoder_->tryDecodeChunkShared(chunk));
+    std::vector<Read> reads;
+    reads.reserve(batch.size());
+    for (size_t i = 0; i < batch.size(); i++)
+        reads.push_back(batch.read(i));
+    return reads;
 }
 
 ReadSet
 SageReader::decodeRange(size_t first_chunk, size_t chunk_count,
                         ThreadPool *pool)
 {
-    return decoder_->decodeChunks(first_chunk, chunk_count, pool);
+    sage_assert(first_chunk <= chunkCount() &&
+                chunk_count <= chunkCount() - first_chunk,
+                "chunk range out of bounds");
+    ReadSet rs;
+    if (chunk_count == 0)
+        return rs;
+    const size_t end = first_chunk + chunk_count;
+    const uint64_t base = chunkFirstRead(first_chunk);
+    rs.reads.resize(static_cast<size_t>(
+        chunkFirstRead(end - 1) + chunkReadCount(end - 1) - base));
+    forEachChunk(first_chunk, end, pool,
+                 [&](size_t chunk, const ReadBatch &batch) {
+                     Read *out =
+                         rs.reads.data() + (chunkFirstRead(chunk) - base);
+                     for (size_t i = 0; i < batch.size(); i++)
+                         out[i] = batch.read(i);
+                 });
+    return rs;
+}
+
+Read
+SageReader::next()
+{
+    sage_assert(hasNext(), "reader exhausted");
+    while (batchRead_ == batch_.size()) {
+        batch_ = walkChunk(nextChunk_++, chunkCount());
+        batchRead_ = 0;
+    }
+    emitted_++;
+    return batch_.read(batchRead_++);
+}
+
+ReadSet
+SageReader::decodeAll(ThreadPool *pool)
+{
+    // Stored order, or through the preserved-order permutation (the
+    // decoder checked at open that it is one).
+    const std::vector<uint32_t> &order = decoder_->order();
+    ReadSet rs;
+    rs.reads.resize(static_cast<size_t>(readCount()));
+    forEachChunk(0, chunkCount(), pool,
+                 [&](size_t chunk, const ReadBatch &batch) {
+                     const uint64_t first = chunkFirstRead(chunk);
+                     for (size_t i = 0; i < batch.size(); i++) {
+                         const uint64_t stored = first + i;
+                         rs.reads[order.empty() ? stored
+                                                : order[stored]] =
+                             batch.read(i);
+                     }
+                 });
+    return rs;
+}
+
+std::vector<std::vector<uint8_t>>
+SageReader::decodeAllPacked(OutputFormat fmt, ThreadPool *pool)
+{
+    std::vector<std::vector<uint8_t>> out(
+        static_cast<size_t>(readCount()));
+    forEachChunk(0, chunkCount(), pool,
+                 [&](size_t chunk, const ReadBatch &batch) {
+                     const uint64_t first = chunkFirstRead(chunk);
+                     for (size_t i = 0; i < batch.size(); i++) {
+                         const std::string_view bases = batch.bases(i);
+                         out[first + i] = packSequence(
+                             bases, fmt == OutputFormat::TwoBit &&
+                                     !isAcgtOnly(bases)
+                                 ? OutputFormat::ThreeBit : fmt);
+                     }
+                 });
+    return out;
+}
+
+ReadSet
+sageDecompress(const std::vector<uint8_t> &archive)
+{
+    const MemorySource source(archive);
+    SageReaderOptions options;
+    options.verifyChecksum = true;
+    return SageReader(source, options).decodeAll();
 }
 
 } // namespace sage

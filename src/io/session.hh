@@ -19,9 +19,18 @@
  * the paper's SAGe_Read/SAGe_Write interface (§5.4), and the layer the
  * Fig. 15 multi-SSD mode plugs into via StripedSource.
  *
- * The legacy whole-buffer calls (sageCompress/sageDecompress,
- * core/encoder.hh + core/decoder.hh) remain as thin compatibility
- * wrappers over the same machinery.
+ * Every read loop lives in SageReader, over the decoder's one
+ * primitive, SageDecoder::tryDecodeChunkShared (chunk -> ReadBatch):
+ * next() walks one batch at a time; the whole-archive and range calls
+ * fan it over a pool (or loop without one) and scatter each read
+ * straight into its final slot; the prefetch option keeps a one-deep
+ * decode-ahead of the next chunk on the sequential paths. A failed
+ * chunk is fatal here, naming the Status (the service layer calls the
+ * same primitive and fails one request instead).
+ *
+ * The legacy whole-buffer calls (sageCompress in core/encoder.hh,
+ * sageDecompress below) remain as thin compatibility wrappers over the
+ * same machinery.
  *
  * Note on write granularity: the container's stream-table layout
  * groups each stream's chunks contiguously, so the writer can only
@@ -33,6 +42,8 @@
 #ifndef SAGE_IO_SESSION_HH
 #define SAGE_IO_SESSION_HH
 
+#include <functional>
+#include <future>
 #include <memory>
 #include <string_view>
 
@@ -124,17 +135,18 @@ struct SageReaderOptions
      *  (The legacy sageDecompress wrapper always verifies.) */
     bool verifyChecksum = false;
     /**
-     * Prefetch-next-chunk mode: a background task fetches chunk i+1's
-     * byte slices through the source while chunk i decodes,
-     * overlapping real FileSource/StripedSource I/O with decode on
-     * the sequential paths (next(), decodeRange()/decodeAll() without
-     * a decode pool). Byte-identical output; pointless over a
-     * MemorySource (chunk fetches are zero-copy views there anyway).
+     * Prefetch-next-chunk mode: while the caller consumes chunk i's
+     * reads, a task on the prefetch pool fetches and decodes chunk
+     * i+1 into its batch (a one-deep decode-ahead), overlapping real
+     * FileSource/StripedSource I/O and decode with the consumer on
+     * the sequential paths: next(), and decodeRange()/decodeAll()/
+     * decodeAllPacked() without a decode pool. readChunk() never
+     * starts one. Byte-identical output.
      */
     bool prefetch = false;
     /**
-     * Pool to run prefetch tasks on (must outlive the reader; one
-     * thread is plenty — the task blocks on I/O). When null and
+     * Pool to run the decode-ahead on (must outlive the reader; one
+     * thread is enough — only one chunk is ever ahead). When null and
      * prefetch is set, the reader owns a one-thread pool. Sharing a
      * pool across many short-lived readers amortizes thread startup.
      */
@@ -143,7 +155,9 @@ struct SageReaderOptions
 
 /**
  * Read session over a SAGe archive: header + chunk table up front,
- * per-chunk byte slices on demand.
+ * per-chunk byte slices on demand. Every call is repeatable and
+ * independent of the next() cursor. One reader serves one thread at a
+ * time.
  */
 class SageReader
 {
@@ -187,7 +201,7 @@ class SageReader
      * byte slices. Repeatable — reading the same chunk twice yields
      * identical reads (headers/quality included).
      */
-    std::vector<Read> readChunk(size_t chunk);
+    std::vector<Read> readChunk(size_t chunk) const;
 
     /**
      * Decode chunks [@p first_chunk, @p first_chunk + @p chunk_count)
@@ -200,24 +214,21 @@ class SageReader
                         ThreadPool *pool = nullptr);
 
     /** True while sequential reads remain. */
-    bool hasNext() const { return decoder_->hasNext(); }
+    bool hasNext() const { return emitted_ < readCount(); }
 
     /** Decode the next read in stored order. */
-    Read next() { return decoder_->next(); }
+    Read next();
 
-    /** Decode everything (restores preserved order; one-shot). */
-    ReadSet
-    decodeAll(ThreadPool *pool = nullptr)
-    {
-        return decoder_->decodeAll(pool);
-    }
+    /** Decode the whole archive (restores preserved order), optionally
+     *  chunk-parallel across @p pool. */
+    ReadSet decodeAll(ThreadPool *pool = nullptr);
 
-    /** Decode everything into packed analysis format (one-shot). */
+    /** Decode the whole archive into packed analysis format, in stored
+     *  order — what SAGe_Read hands to an accelerator (paper §5.4):
+     *  per-read packed bases (2-bit reads holding a non-ACGT base fall
+     *  back to 3-bit). Optionally chunk-parallel, like decodeAll(). */
     std::vector<std::vector<uint8_t>>
-    decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr)
-    {
-        return decoder_->decodeAllPacked(fmt, pool);
-    }
+    decodeAllPacked(OutputFormat fmt, ThreadPool *pool = nullptr);
 
     /** Per-chunk compressed DNA bytes (chunk fetch cost). */
     std::vector<uint64_t>
@@ -236,17 +247,53 @@ class SageReader
     Status verify() const;
 
   private:
+    using ChunkFn = std::function<void(size_t chunk, const ReadBatch &)>;
+
     void enablePrefetch(const SageReaderOptions &options);
+
+    /** Chunk @p chunk's decoded @p batch, or a fatal exit naming the
+     *  source, the chunk and the Status. */
+    ReadBatch checked(size_t chunk, StatusOr<ReadBatch> batch) const;
+
+    /** Wait out and discard the decode-ahead, if any. */
+    void dropAhead();
+
+    /** Chunk @p chunk of a sequential walk ending before @p end: adopt
+     *  the decode-ahead when it holds this chunk (else decode here)
+     *  and, with prefetch on, start chunk @p chunk+1's decode-ahead. */
+    ReadBatch walkChunk(size_t chunk, size_t end);
+
+    /** Call @p fn on every chunk in [@p first, @p end), on this thread
+     *  and in chunk order. The chunks decode across @p pool when it
+     *  has more than one thread (and there is more than one chunk),
+     *  else as a sequential walk (walkChunk). */
+    void forEachChunk(size_t first, size_t end, ThreadPool *pool,
+                      const ChunkFn &fn);
 
     std::unique_ptr<FileSource> file_;  ///< Owned for the path ctor.
     const ByteSource *source_ = nullptr;
-    /** Owned fetch pool for SageReaderOptions::prefetch (unused when
-     *  the options supplied one). Declared before decoder_: the
-     *  decoder's destructor drains any in-flight fetch before the
-     *  pool goes away. */
-    std::unique_ptr<ThreadPool> prefetchPool_;
-    std::unique_ptr<SageDecoder> decoder_;
+    std::unique_ptr<const SageDecoder> decoder_;
+
+    /** Owned decode-ahead pool for SageReaderOptions::prefetch (unused
+     *  when the options supplied one). */
+    std::unique_ptr<ThreadPool> ownedPrefetchPool_;
+    ThreadPool *prefetchPool_ = nullptr;  ///< Null: prefetch off.
+    /** One-deep decode-ahead: chunk aheadChunk_'s batch, in flight or
+     *  ready. The destructor waits it out (the task uses decoder_). */
+    std::future<StatusOr<ReadBatch>> ahead_;
+    size_t aheadChunk_ = 0;
+
+    // next() cursor: the current chunk's batch and the position in it.
+    ReadBatch batch_;
+    size_t batchRead_ = 0;
+    size_t nextChunk_ = 0;
+    uint64_t emitted_ = 0;
 };
+
+/** One-call convenience: decode a resident SAGe archive into a ReadSet
+ *  (CRC-verified first, so any bit flip is fatal before a read is
+ *  produced). */
+ReadSet sageDecompress(const std::vector<uint8_t> &archive);
 
 } // namespace sage
 

@@ -71,11 +71,12 @@ struct WorkloadMeasurement
     /**
      * Measured sequential SAGe decode over a real FileSource — I/O
      * included — without and with prefetch-next-chunk mode
-     * (SageReaderOptions::prefetch: chunk i+1's slices fetched in the
-     * background while chunk i decodes). The prefetched number is an
-     * end-to-end I/O+decode wall clock with the two stages overlapped,
-     * so the SageSW pipeline projection treats it as another measured
-     * upper bound (0 when not measured, e.g. stale caches).
+     * (SageReaderOptions::prefetch: chunk i+1's slices fetched and
+     * decoded on a background thread while chunk i is consumed). The
+     * prefetched number is an end-to-end I/O+decode wall clock with
+     * the fetch and decode of the next chunk overlapped, so the SageSW
+     * pipeline projection treats it as another measured upper bound
+     * (0 when not measured, e.g. stale caches).
      */
     double sageSwFileDecompSeconds = 0.0;
     double sageSwFilePrefetchSeconds = 0.0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "io/container.hh"
+#include "io/session.hh"
 #include "util/logging.hh"
 
 namespace sage {
@@ -42,9 +43,14 @@ SageDevice::sageRead(const std::string &name, OutputFormat fmt)
 
     // Functional decompression through the shared decoder core. The
     // accelerator path is DNA-only: quality stays compressed on the
-    // device until a host application asks for specific blocks.
-    SageDecoder decoder(file.data, /*dna_only=*/true);
-    result.packedReads = decoder.decodeAllPacked(fmt);
+    // device until a host application asks for specific blocks. The
+    // file is resident, so any bit flip dies on the container CRC
+    // before a read is produced.
+    const MemorySource source(file.data);
+    SageReaderOptions options;
+    options.dnaOnly = true;
+    options.verifyChecksum = true;
+    result.packedReads = SageReader(source, options).decodeAllPacked(fmt);
     for (const auto &read : result.packedReads)
         result.deliveredBytes += read.size();
 

@@ -52,12 +52,13 @@ TEST_P(ChunkedRoundTrip, ShortReadsLossless)
     config.chunkReads = GetParam();
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
-    SageDecoder decoder(archive.bytes);
-    EXPECT_EQ(decoder.info().params.version, kFormatVersionChunked);
+    const MemorySource source(archive.bytes);
+    SageReader reader(source);
+    EXPECT_EQ(reader.info().params.version, kFormatVersionChunked);
     const uint64_t reads = ds.readSet.reads.size();
     const uint64_t chunk = GetParam();
-    EXPECT_EQ(decoder.chunkCount(), (reads + chunk - 1) / chunk);
-    const ReadSet back = decoder.decodeAll();
+    EXPECT_EQ(reader.chunkCount(), (reads + chunk - 1) / chunk);
+    const ReadSet back = reader.decodeAll();
     EXPECT_EQ(recordSet(back), recordSet(ds.readSet));
 }
 
@@ -87,9 +88,10 @@ TEST(ChunkedArchive, ExactlyOneChunkWhenSizeMatchesReadCount)
         static_cast<uint32_t>(ds.readSet.reads.size());
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
-    SageDecoder decoder(archive.bytes);
-    EXPECT_EQ(decoder.chunkCount(), 1u);
-    const ReadSet back = decoder.decodeAll();
+    const MemorySource source(archive.bytes);
+    SageReader reader(source);
+    EXPECT_EQ(reader.chunkCount(), 1u);
+    const ReadSet back = reader.decodeAll();
     EXPECT_EQ(recordSet(back), recordSet(ds.readSet));
 }
 
@@ -127,7 +129,8 @@ TEST(ChunkedArchive, StreamingNextMatchesDecodeAllAcrossChunks)
     config.chunkReads = 13;
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
-    SageDecoder a(archive.bytes), b(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader a(source), b(source);
     ASSERT_GT(a.chunkCount(), 1u);
     const ReadSet all = b.decodeAll();
     size_t i = 0;
@@ -152,16 +155,17 @@ TEST(ChunkedArchive, V1ArchiveStillDecodes)
     config.chunkReads = 0; // Legacy single-stream layout.
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
-    SageDecoder decoder(archive.bytes);
-    EXPECT_EQ(decoder.info().params.version, kFormatVersionLegacy);
-    EXPECT_FALSE(decoder.info().streamSizes.count("chunks"));
-    EXPECT_EQ(decoder.chunkCount(), 1u);
-    const ReadSet back = decoder.decodeAll();
+    const MemorySource source(archive.bytes);
+    SageReader reader(source);
+    EXPECT_EQ(reader.info().params.version, kFormatVersionLegacy);
+    EXPECT_FALSE(reader.info().streamSizes.count("chunks"));
+    EXPECT_EQ(reader.chunkCount(), 1u);
+    const ReadSet back = reader.decodeAll();
     EXPECT_EQ(recordSet(back), recordSet(ds.readSet));
 
     // The parallel entry point degrades gracefully on one chunk.
     ThreadPool pool(4);
-    SageDecoder par(archive.bytes);
+    SageReader par(source);
     expectSameReads(par.decodeAll(&pool), back);
 }
 
@@ -179,15 +183,15 @@ TEST(ParallelDecode, MatchesSequentialReadSet)
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
 
-    SageDecoder seq(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader seq(source);
     ASSERT_GT(seq.chunkCount(), 1u);
     const ReadSet expect = seq.decodeAll();
 
     ThreadPool pool(4);
-    SageDecoder par(archive.bytes);
+    SageReader par(source);
     const ReadSet got = par.decodeAll(&pool);
     expectSameReads(got, expect);
-    EXPECT_EQ(par.eventsDecoded(), seq.eventsDecoded());
 }
 
 TEST(ParallelDecode, RestoresPreservedOrder)
@@ -200,7 +204,8 @@ TEST(ParallelDecode, RestoresPreservedOrder)
         sageCompress(ds.readSet, ds.reference, config);
 
     ThreadPool pool(4);
-    SageDecoder par(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader par(source);
     ASSERT_GT(par.chunkCount(), 1u);
     const ReadSet got = par.decodeAll(&pool);
     ASSERT_EQ(got.reads.size(), ds.readSet.reads.size());
@@ -219,11 +224,14 @@ TEST(ParallelDecode, MatchesSequentialPacked)
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
 
-    SageDecoder seq(archive.bytes, /*dna_only=*/true);
+    const MemorySource source(archive.bytes);
+    SageReaderOptions dna_only;
+    dna_only.dnaOnly = true;
+    SageReader seq(source, dna_only);
     const auto expect = seq.decodeAllPacked(OutputFormat::TwoBit);
 
     ThreadPool pool(4);
-    SageDecoder par(archive.bytes, /*dna_only=*/true);
+    SageReader par(source, dna_only);
     const auto got = par.decodeAllPacked(OutputFormat::TwoBit, &pool);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < got.size(); i++)
@@ -240,11 +248,12 @@ TEST(ParallelDecode, LongChimericReads)
     const SageArchive archive =
         sageCompress(ds.readSet, ds.reference, config);
 
-    SageDecoder seq(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader seq(source);
     const ReadSet expect = seq.decodeAll();
 
     ThreadPool pool(3);
-    SageDecoder par(archive.bytes);
+    SageReader par(source);
     expectSameReads(par.decodeAll(&pool), expect);
 }
 
@@ -257,9 +266,10 @@ TEST(ParallelDecode, EveryOptimizationLevel)
         config.chunkReads = 10;
         const SageArchive archive =
             sageCompress(ds.readSet, ds.reference, config);
-        SageDecoder seq(archive.bytes);
+        const MemorySource source(archive.bytes);
+        SageReader seq(source);
         const ReadSet expect = seq.decodeAll();
-        SageDecoder par(archive.bytes);
+        SageReader par(source);
         const ReadSet got = par.decodeAll(&pool);
         ASSERT_EQ(got.reads.size(), expect.reads.size())
             << "level " << level;

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
 #include <memory>
@@ -21,6 +22,7 @@
 #include "core/sage.hh"
 #include "io/fault_injection.hh"
 #include "simgen/synthesize.hh"
+#include "util/thread_pool.hh"
 
 namespace sage {
 namespace {
@@ -287,6 +289,29 @@ TEST(CorruptArchive, BitFlippedStreamsNeverCrashTheDecoder)
     }
 }
 
+TEST(CorruptArchive, OrderStreamMustMapEveryRead)
+{
+    const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    SageConfig config;
+    config.preserveOrder = true;
+    std::vector<uint8_t> bytes =
+        sageCompress(ds.readSet, ds.reference, config).bytes;
+    ASSERT_GT(ds.readSet.reads.size(), 128u);
+    const StreamExtent order =
+        StreamDirectory::parse(MemorySource(bytes)).extent("order");
+
+    // Every byte becomes a one-byte entry: fewer entries than reads,
+    // so some read would have no slot in the restored order.
+    std::fill(bytes.begin() + order.offset,
+              bytes.begin() + order.offset + order.size, 0x7f);
+    const MemorySource source(bytes);
+    const StatusOr<std::unique_ptr<SageDecoder>> opened =
+        SageDecoder::tryOpen(source);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::Corrupt)
+        << opened.status().toString();
+}
+
 TEST(CorruptArchive, TryOpenReportsMissingStreams)
 {
     // An empty-but-well-framed bundle parses as a directory yet fails
@@ -298,6 +323,86 @@ TEST(CorruptArchive, TryOpenReportsMissingStreams)
     const StatusOr<std::unique_ptr<SageDecoder>> opened =
         SageDecoder::tryOpen(source);
     ASSERT_FALSE(opened.ok());
+}
+
+// ---------------------------------------------------------------------
+// Restore and prep readers under faults
+// ---------------------------------------------------------------------
+
+/** SageReader over a fault-injected in-memory archive: opened over
+ *  clean bytes, then every chunk fetch fails with an injected
+ *  IoError. The reader's contract at this edge is a fatal exit that
+ *  names the error, never wrong reads. */
+struct FaultedReader
+{
+    explicit FaultedReader(const std::vector<uint8_t> &bytes,
+                           SageReaderOptions options = {})
+        : source(bytes), faulty(source, failEveryFetch())
+    {
+        faulty.setArmed(false);
+        reader = std::make_unique<SageReader>(faulty, options);
+        faulty.setArmed(true);
+    }
+
+    static FaultConfig
+    failEveryFetch()
+    {
+        FaultConfig config;
+        config.failEveryN = 1;
+        return config;
+    }
+
+    MemorySource source;
+    FaultInjectionSource faulty;
+    std::unique_ptr<SageReader> reader;
+};
+
+constexpr const char *kInjectedIoError = "io-error: injected I/O error";
+
+TEST(ReaderFault, DecodeAllOverPoolDiesNamingTheIoError)
+{
+    FaultedReader harness(makeArchiveBytes(64));
+    ASSERT_GT(harness.reader->chunkCount(), 1u);
+    EXPECT_EXIT(
+        {
+            ThreadPool pool(3);
+            const ReadSet rs = harness.reader->decodeAll(&pool);
+            (void)rs;
+        },
+        ::testing::ExitedWithCode(1), kInjectedIoError);
+}
+
+TEST(ReaderFault, NextWalkDiesNamingTheIoError)
+{
+    const std::vector<uint8_t> bytes = makeArchiveBytes(64);
+    for (const bool prefetch : {false, true}) {
+        SageReaderOptions options;
+        options.prefetch = prefetch;
+        // Built inside the death statement: the prefetch reader owns a
+        // thread, which must not exist when the test forks.
+        EXPECT_EXIT(
+            {
+                FaultedReader harness(bytes, options);
+                while (harness.reader->hasNext())
+                    (void)harness.reader->next();
+            },
+            ::testing::ExitedWithCode(1), kInjectedIoError)
+            << (prefetch ? "prefetch on" : "prefetch off");
+    }
+}
+
+TEST(ReaderFault, DecodeAllPackedDiesNamingTheIoError)
+{
+    SageReaderOptions dna_only;
+    dna_only.dnaOnly = true;
+    FaultedReader harness(makeArchiveBytes(64), dna_only);
+    EXPECT_EXIT(
+        {
+            const auto packed =
+                harness.reader->decodeAllPacked(OutputFormat::TwoBit);
+            (void)packed;
+        },
+        ::testing::ExitedWithCode(1), kInjectedIoError);
 }
 
 // ---------------------------------------------------------------------

@@ -7,14 +7,18 @@
  * chunkReads (1, 7, and more than half the set), quality kept or
  * dropped, and preserveOrder on or off, plus long-read corpora
  * (thousands of bases per read) at chunkReads 7 and more than half the
- * set. The stored order is taken from
- * the sequential reader (SageReader::next) and checked to be a
- * permutation of the input; every other path must then return it
- * byte for byte, header and quality included:
+ * set, plus single-chunk legacy (v1, chunkReads 0) archives. The
+ * stored order is taken from the sequential reader (SageReader::next)
+ * and checked to be a permutation of the input; every other path must
+ * then return it byte for byte, header and quality included:
  *
- *   - SageReader::decodeAll over a thread pool (the input order itself
- *     when the archive preserved it);
- *   - readChunk(i) concatenated over every chunk;
+ *   - SageReader::decodeAll over a thread pool and without one (the
+ *     input order itself when the archive preserved it);
+ *   - a next() walk with the prefetch decode-ahead on;
+ *   - readChunk(i) concatenated over every chunk, and
+ *     decodeRange(1, n-1) over all chunks but the first;
+ *   - decodeAllPacked(TwoBit), against packSequence of the stored
+ *     order (3-bit for reads holding a non-ACGT base);
  *   - SageArchiveService range reads that straddle chunk boundaries,
  *     through readRange and through submit's pinned spans, with a
  *     0-byte cache budget and a budget of about two chunks, so
@@ -45,21 +49,26 @@
 namespace sage {
 namespace {
 
-/** One grid point. chunkReads 0 means "just over half the set". */
+/** One grid point. chunkReads 0 means "just over half the set",
+ *  unless legacyV1 asks for a single-chunk v1 archive (chunkReads 0 in
+ *  the SageConfig). legacyV1 sits in what was padding, so the existing
+ *  points print (and are named) exactly as before. */
 struct GridPoint
 {
     uint32_t chunkReads;
     bool keepQuality;
     bool preserveOrder;
     bool longReads = false;
+    bool legacyV1 = false;
 };
 
 std::string
 gridName(const ::testing::TestParamInfo<GridPoint> &info)
 {
     const GridPoint &p = info.param;
-    return (p.chunkReads == 0 ? std::string("chunkHalfPlus")
-                              : "chunk" + std::to_string(p.chunkReads)) +
+    return (p.legacyV1              ? std::string("v1")
+                : p.chunkReads == 0 ? std::string("chunkHalfPlus")
+                                    : "chunk" + std::to_string(p.chunkReads)) +
         (p.keepQuality ? "_qual" : "_noqual") +
         (p.preserveOrder ? "_ordered" : "_stored") +
         (p.longReads ? "_long" : "");
@@ -82,6 +91,10 @@ grid()
                     GridPoint{chunk_reads, quality, order, true});
             }
         }
+    }
+    for (const bool quality : {true, false}) {
+        for (const bool order : {true, false})
+            points.push_back(GridPoint{0, quality, order, false, true});
     }
     return points;
 }
@@ -127,7 +140,8 @@ class ReadPathRoundTrip : public ::testing::TestWithParam<GridPoint>
         }
 
         SageConfig config;
-        config.chunkReads = point.chunkReads != 0
+        config.chunkReads = point.legacyV1 ? 0
+            : point.chunkReads != 0
             ? point.chunkReads
             : static_cast<uint32_t>(input_.size() / 2 + 1);
         config.keepQuality = point.keepQuality;
@@ -152,7 +166,11 @@ class ReadPathRoundTrip : public ::testing::TestWithParam<GridPoint>
         while (reader.hasNext())
             stored_.push_back(reader.next());
         chunks_ = reader.chunkCount();
-        chunkReads_ = config.chunkReads;
+        ASSERT_EQ(reader.info().params.version,
+                  point.legacyV1 ? kFormatVersionLegacy
+                                 : kFormatVersionChunked);
+        // A v1 archive is one chunk holding every read.
+        chunkReads_ = point.legacyV1 ? stored_.size() : config.chunkReads;
     }
 
     void
@@ -197,6 +215,57 @@ TEST_P(ReadPathRoundTrip, DecodeAllOverPool)
     const ReadSet all = reader.decodeAll(&pool);
     expectSameReads(all.reads, GetParam().preserveOrder ? input_ : stored_,
                     "decodeAll(pool)");
+}
+
+TEST_P(ReadPathRoundTrip, DecodeAllWithoutPool)
+{
+    SageReader reader(path_);
+    const ReadSet all = reader.decodeAll();
+    expectSameReads(all.reads, GetParam().preserveOrder ? input_ : stored_,
+                    "decodeAll()");
+}
+
+TEST_P(ReadPathRoundTrip, PrefetchNextWalk)
+{
+    SageReaderOptions options;
+    options.prefetch = true;
+    SageReader reader(path_, options);
+    std::vector<Read> got;
+    while (reader.hasNext())
+        got.push_back(reader.next());
+    expectSameReads(got, stored_, "prefetch next()");
+}
+
+TEST_P(ReadPathRoundTrip, DecodeRangeSkippingFirstChunk)
+{
+    SageReader reader(path_);
+    const uint64_t first =
+        chunks_ > 1 ? reader.chunkFirstRead(1) : stored_.size();
+    const std::vector<Read> want(stored_.begin() + first, stored_.end());
+    expectSameReads(reader.decodeRange(1, chunks_ - 1).reads, want,
+                    "decodeRange(1, n-1)");
+    ThreadPool pool(3);
+    expectSameReads(reader.decodeRange(1, chunks_ - 1, &pool).reads, want,
+                    "decodeRange(1, n-1, pool)");
+}
+
+TEST_P(ReadPathRoundTrip, DecodeAllPackedTwoBit)
+{
+    SageReaderOptions options;
+    options.dnaOnly = true;
+    SageReader reader(path_, options);
+    ThreadPool pool(3);
+    const std::vector<std::vector<uint8_t>> packed =
+        reader.decodeAllPacked(OutputFormat::TwoBit, &pool);
+    ASSERT_EQ(packed.size(), stored_.size());
+    for (size_t i = 0; i < packed.size(); i++) {
+        const std::string &bases = stored_[i].bases;
+        ASSERT_EQ(packed[i],
+                  packSequence(bases, isAcgtOnly(bases)
+                                          ? OutputFormat::TwoBit
+                                          : OutputFormat::ThreeBit))
+            << "decodeAllPacked read " << i;
+    }
 }
 
 TEST_P(ReadPathRoundTrip, ReadChunkConcatenation)

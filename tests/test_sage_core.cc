@@ -277,9 +277,10 @@ TEST(SageRoundTripExtra, PackedOutputFormats)
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
     const SageArchive archive = sageCompress(ds.readSet, ds.reference);
 
-    SageDecoder ascii_dec(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader ascii_dec(source);
     const auto ascii = ascii_dec.decodeAllPacked(OutputFormat::Ascii);
-    SageDecoder two_dec(archive.bytes);
+    SageReader two_dec(source);
     const auto twobit = two_dec.decodeAllPacked(OutputFormat::TwoBit);
     ASSERT_EQ(ascii.size(), twobit.size());
 
@@ -342,7 +343,8 @@ TEST(SageStreaming, NextYieldsSameAsDecodeAll)
 {
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
     const SageArchive archive = sageCompress(ds.readSet, ds.reference);
-    SageDecoder a(archive.bytes), b(archive.bytes);
+    const MemorySource source(archive.bytes);
+    SageReader a(source), b(source);
     const ReadSet all = b.decodeAll();
     size_t i = 0;
     while (a.hasNext()) {

@@ -259,6 +259,64 @@ TEST(SageReaderTest, DnaOnlySkipsQuality)
 }
 
 // ---------------------------------------------------------------------
+// Whole-archive decodes: independent of the next() cursor, repeatable
+// ---------------------------------------------------------------------
+
+TEST(SageReaderTest, ReadChunkAfterDecodeAllKeepsHostFields)
+{
+    const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    SageConfig config;
+    config.chunkReads = 64;
+    const SageArchive archive = compress(ds, config);
+    MemorySource source(archive.bytes);
+    SageReader reader(source);
+    ASSERT_GT(reader.chunkCount(), 1u);
+
+    const std::vector<Read> before = reader.readChunk(0);
+    ASSERT_FALSE(before.empty());
+    ASSERT_FALSE(before.front().header.empty());
+    ASSERT_FALSE(before.front().quals.empty());
+    const ReadSet all = reader.decodeAll();
+    EXPECT_EQ(all.reads.size(), reader.readCount());
+    // The whole-archive decode must not consume the headers and
+    // quality a later random access returns.
+    expectSameReads(reader.readChunk(0), before);
+    expectSameReads(reader.decodeAll().reads, all.reads);
+}
+
+TEST(SageReaderTest, DecodeAllAfterNextDecodesWholeArchive)
+{
+    const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    SageConfig config;
+    config.chunkReads = 64;
+    config.preserveOrder = true;
+    const SageArchive archive = compress(ds, config);
+    MemorySource source(archive.bytes);
+    SageReader reader(source);
+    ASSERT_GT(reader.chunkCount(), 1u);
+
+    // Both whole-archive calls ignore the cursor: input order comes
+    // back in full, twice, and the walk resumes where it stopped.
+    const Read first = reader.next();
+    for (int pass = 0; pass < 2; pass++) {
+        const ReadSet all = reader.decodeAll();
+        expectSameReads(all.reads, ds.readSet.reads);
+    }
+    const std::vector<std::vector<uint8_t>> packed =
+        reader.decodeAllPacked(OutputFormat::TwoBit);
+    EXPECT_EQ(packed.size(), reader.readCount());
+    EXPECT_EQ(reader.decodeAllPacked(OutputFormat::TwoBit), packed);
+    SageReader fresh(source);
+    EXPECT_EQ(fresh.decodeAllPacked(OutputFormat::TwoBit), packed);
+    const Read second = reader.next();
+    const std::vector<Read> chunk = reader.readChunk(0);
+    ASSERT_GT(chunk.size(), 1u);
+    EXPECT_EQ(first.header, chunk[0].header);
+    EXPECT_EQ(second.header, chunk[1].header);
+    EXPECT_EQ(second.bases, chunk[1].bases);
+}
+
+// ---------------------------------------------------------------------
 // v1 archives through the session API
 // ---------------------------------------------------------------------
 
@@ -391,12 +449,16 @@ TEST_F(PrefetchDecode, RangeAndRandomAccessSurvivePrefetchMisses)
     const size_t chunks = plain.chunkCount();
     ASSERT_GT(chunks, 3u);
 
-    // Out-of-order chunk access: every open misses the prefetched
-    // slot (it holds the *next* chunk), exercising the discard path.
+    // Out-of-order chunk access: random access never starts or takes
+    // a decode-ahead.
     for (size_t c : {chunks - 1, size_t{0}, size_t{2}, size_t{1}}) {
         expectSameReads(prefetched.readChunk(c), plain.readChunk(c));
     }
-    // Ranges, including one that rides the slot across chunks.
+    // Ranges, including one that rides the decode-ahead across chunks
+    // after a next() left a stale one for chunk 1 behind.
+    EXPECT_EQ(prefetched.next().bases, plain.next().bases);
+    const ReadSet head = prefetched.decodeRange(0, 2);
+    expectSameReads(head.reads, plain.decodeRange(0, 2).reads);
     const ReadSet a = plain.decodeRange(1, chunks - 1);
     const ReadSet b = prefetched.decodeRange(1, chunks - 1);
     expectSameReads(b.reads, a.reads);
@@ -404,10 +466,12 @@ TEST_F(PrefetchDecode, RangeAndRandomAccessSurvivePrefetchMisses)
 
 TEST_F(PrefetchDecode, AbandonedPrefetchShutsDownCleanly)
 {
-    // Open, decode one chunk (leaving chunk 2's fetch in flight or
-    // ready), and destroy: the decoder must drain the slot first.
+    // Open, take one read (leaving chunk 1's decode-ahead in flight or
+    // ready), decode one chunk, and destroy: the reader must drain the
+    // decode-ahead first.
     SageReader prefetched(path_, prefetchOptions());
     ASSERT_GT(prefetched.chunkCount(), 1u);
+    EXPECT_FALSE(prefetched.next().bases.empty());
     const std::vector<Read> chunk = prefetched.readChunk(0);
     EXPECT_FALSE(chunk.empty());
 }
@@ -424,7 +488,7 @@ TEST_F(PrefetchDecode, PrefetchOverMemorySourceIsByteIdentical)
 
 TEST_F(PrefetchDecode, PrefetchComposesWithDecodePool)
 {
-    // A decode pool takes the parallel path (prefetcher idle); the
+    // A decode pool takes the parallel path (decode-ahead idle); the
     // result must still match, and the reader must shut down cleanly
     // with both pools alive.
     SageReader plain(path_);
