@@ -6,6 +6,7 @@
 #include "compress/range_coder.hh"
 #include "util/logging.hh"
 #include "util/status.hh"
+#include "util/varint.hh"
 
 namespace sage {
 
@@ -101,38 +102,136 @@ compressQuality(const std::vector<std::string> &quals,
     return archive;
 }
 
-std::string
-decompressQualityBlock(const QualityArchive &archive, size_t block_index)
+std::vector<uint8_t>
+packQuality(const QualityArchive &archive)
 {
-    sage_check_data(block_index < archive.blocks.size(), Corrupt,
-                "quality block index out of range");
-    const unsigned alphabet = archive.alphabet.size();
-    const auto &block = archive.blocks[block_index];
-    const uint64_t len = archive.blockChars[block_index];
+    std::vector<uint8_t> out;
+    putVarint(out, archive.alphabet.size());
+    out.insert(out.end(), archive.alphabet.begin(), archive.alphabet.end());
+    putVarint(out, archive.readLengths.size());
+    for (uint32_t len : archive.readLengths)
+        putVarint(out, len);
+    putVarint(out, archive.blocks.size());
+    for (size_t b = 0; b < archive.blocks.size(); b++) {
+        putVarint(out, archive.blockChars[b]);
+        putVarint(out, archive.blocks[b].size());
+        out.insert(out.end(), archive.blocks[b].begin(),
+                   archive.blocks[b].end());
+    }
+    return out;
+}
 
-    RangeDecoder dec(block.data(), block.size());
+StatusOr<QualityLayout>
+tryParseQualityStream(const uint8_t *data, size_t size)
+try {
+    QualityLayout layout;
+    size_t pos = 0;
+    const uint64_t alpha_len = getVarint(data, size, pos);
+    // compressQuality emits 1..256 distinct characters; an empty model
+    // would divide by zero in the range decoder.
+    sage_check_data(alpha_len >= 1 && alpha_len <= 256, Corrupt,
+                    "quality alphabet of ", alpha_len, " symbols");
+    sage_check_data(alpha_len <= size - pos, Truncated,
+                    "quality alphabet runs past the stream end");
+    layout.alphabet.assign(reinterpret_cast<const char *>(data) + pos,
+                           static_cast<size_t>(alpha_len));
+    pos += alpha_len;
+
+    // Each varint takes at least one byte, so the remaining bytes bound
+    // both counts before anything is reserved.
+    const uint64_t reads = getVarint(data, size, pos);
+    sage_check_data(reads <= size - pos, Truncated,
+                    "quality stream holds fewer than ", reads,
+                    " read lengths");
+    layout.readLengths.reserve(static_cast<size_t>(reads));
+    uint64_t read_chars = 0;
+    for (uint64_t i = 0; i < reads; i++) {
+        const uint64_t len = getVarint(data, size, pos);
+        sage_check_data(len <= UINT32_MAX, Corrupt, "quality read length ",
+                        len, " out of range");
+        layout.readLengths.push_back(static_cast<uint32_t>(len));
+        read_chars += len;
+    }
+
+    const uint64_t blocks = getVarint(data, size, pos);
+    sage_check_data(blocks <= size - pos, Truncated,
+                    "quality stream holds fewer than ", blocks, " blocks");
+    layout.blocks.reserve(static_cast<size_t>(blocks));
+    uint64_t block_chars = 0;
+    for (uint64_t b = 0; b < blocks; b++) {
+        QualityBlockExtent block;
+        block.chars = getVarint(data, size, pos);
+        block.size = getVarint(data, size, pos);
+        sage_check_data(block.size <= size - pos, Truncated,
+                        "quality block runs past the stream end");
+        sage_check_data(block.chars <= read_chars - block_chars, Corrupt,
+                        "quality archive length mismatch");
+        block.offset = pos;
+        pos += block.size;
+        block_chars += block.chars;
+        layout.blocks.push_back(block);
+    }
+    sage_check_data(block_chars == read_chars, Corrupt,
+                    "quality archive length mismatch");
+    return StatusOr<QualityLayout>(std::move(layout));
+} catch (const StatusError &err) {
+    return err.status();
+}
+
+void
+decodeQualityBlockInto(std::string_view alphabet, const uint8_t *data,
+                       size_t size, uint64_t chars, char *out)
+{
+    if (chars == 0)
+        return;
+    sage_check_data(!alphabet.empty(), Corrupt,
+                    "quality block decode without an alphabet");
+    const unsigned symbols = static_cast<unsigned>(alphabet.size());
+    RangeDecoder dec(data, size);
     std::vector<AdaptiveModel> models(
-        static_cast<size_t>(alphabet) * 4, AdaptiveModel(alphabet));
-    std::string out;
-    out.reserve(len);
+        static_cast<size_t>(symbols) * 4, AdaptiveModel(symbols));
     unsigned prev1 = 0, prev2 = 0;
-    for (uint64_t i = 0; i < len; i++) {
+    for (uint64_t i = 0; i < chars; i++) {
         const unsigned sym =
-            models[contextOf(prev1, prev2, alphabet)].decode(dec);
-        out.push_back(archive.alphabet[sym]);
+            models[contextOf(prev1, prev2, symbols)].decode(dec);
+        out[i] = alphabet[sym];
         prev2 = prev1;
         prev1 = sym;
     }
+}
+
+std::string
+decompressQualityBlock(const QualityArchive &archive, size_t block_index)
+{
+    sage_check_data(block_index < archive.blocks.size() &&
+                    block_index < archive.blockChars.size(), Corrupt,
+                    "quality block index out of range");
+    const auto &block = archive.blocks[block_index];
+    std::string out(static_cast<size_t>(archive.blockChars[block_index]),
+                    '\0');
+    decodeQualityBlockInto(archive.alphabet, block.data(), block.size(),
+                           out.size(), out.data());
     return out;
 }
 
 std::vector<std::string>
 decompressQuality(const QualityArchive &archive)
 {
-    std::string flat;
-    flat.reserve(archive.totalChars());
-    for (size_t b = 0; b < archive.blocks.size(); b++)
-        flat += decompressQualityBlock(archive, b);
+    sage_check_data(archive.blockChars.size() == archive.blocks.size(),
+                    Corrupt, "quality archive block count mismatch");
+    uint64_t read_chars = 0;
+    for (uint32_t len : archive.readLengths)
+        read_chars += len;
+    sage_check_data(read_chars == archive.totalChars(), Corrupt,
+                    "quality archive length mismatch");
+    std::string flat(static_cast<size_t>(read_chars), '\0');
+    uint64_t at = 0;
+    for (size_t b = 0; b < archive.blocks.size(); b++) {
+        decodeQualityBlockInto(archive.alphabet, archive.blocks[b].data(),
+                               archive.blocks[b].size(),
+                               archive.blockChars[b], flat.data() + at);
+        at += archive.blockChars[b];
+    }
 
     std::vector<std::string> out;
     out.reserve(archive.readLengths.size());
@@ -141,8 +240,6 @@ decompressQuality(const QualityArchive &archive)
         out.push_back(flat.substr(off, len));
         off += len;
     }
-    sage_check_data(off == flat.size(), Corrupt,
-                    "quality archive length mismatch");
     return out;
 }
 

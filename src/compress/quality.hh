@@ -14,9 +14,13 @@
 #ifndef SAGE_COMPRESS_QUALITY_HH
 #define SAGE_COMPRESS_QUALITY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/status.hh"
 
 namespace sage {
 
@@ -47,9 +51,53 @@ struct QualityConfig
     uint64_t blockChars = 1 << 20;
 };
 
+/** Where one block sits inside a packed quality stream. */
+struct QualityBlockExtent
+{
+    uint64_t chars = 0;   ///< Quality characters the block decodes to.
+    uint64_t offset = 0;  ///< First compressed byte, from the stream start.
+    uint64_t size = 0;    ///< Compressed bytes.
+};
+
+/** The framing of a packed quality stream. The compressed block
+ *  payloads are not copied: each block is an extent of the stream. */
+struct QualityLayout
+{
+    std::string alphabet;
+    std::vector<uint32_t> readLengths;
+    std::vector<QualityBlockExtent> blocks;
+};
+
 /** Compress per-read quality strings (order preserved). */
 QualityArchive compressQuality(const std::vector<std::string> &quals,
                                const QualityConfig &config = {});
+
+/**
+ * Serialize @p archive as one byte stream (the container's `quality`
+ * stream): varint alphabet size and alphabet bytes, varint read count
+ * and one varint length per read, varint block count, then per block
+ * its varint char count, varint compressed size and payload.
+ */
+std::vector<uint8_t> packQuality(const QualityArchive &archive);
+
+/**
+ * Parse the framing of a packQuality stream of @p size bytes at
+ * @p data without copying any block payload. Every varint and extent
+ * is bounds-checked: Truncated when a field runs past the end, Corrupt
+ * for an alphabet that cannot have come from compressQuality or for
+ * block chars that do not sum to the read lengths.
+ */
+StatusOr<QualityLayout> tryParseQualityStream(const uint8_t *data,
+                                              size_t size);
+
+/**
+ * The one block decoder: decode the @p size compressed bytes at
+ * @p data into exactly @p chars quality characters at @p out, with the
+ * model over @p alphabet (non-empty). Random access: a block needs no
+ * other block's state.
+ */
+void decodeQualityBlockInto(std::string_view alphabet, const uint8_t *data,
+                            size_t size, uint64_t chars, char *out);
 
 /** Decompress every block, restoring the original strings. */
 std::vector<std::string> decompressQuality(const QualityArchive &archive);

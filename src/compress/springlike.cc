@@ -15,48 +15,29 @@ namespace springlike {
 
 namespace {
 
-/** Serialize a QualityArchive into raw bytes (already entropy-coded). */
-std::vector<uint8_t>
-packQuality(const QualityArchive &qa)
+/** Decode a packQuality stream back into per-read strings. */
+std::vector<std::string>
+unpackQuality(const std::vector<uint8_t> &packed)
 {
-    std::vector<uint8_t> out;
-    putVarint(out, qa.alphabet.size());
-    out.insert(out.end(), qa.alphabet.begin(), qa.alphabet.end());
-    putVarint(out, qa.readLengths.size());
-    for (uint32_t len : qa.readLengths)
-        putVarint(out, len);
-    putVarint(out, qa.blocks.size());
-    for (size_t b = 0; b < qa.blocks.size(); b++) {
-        putVarint(out, qa.blockChars[b]);
-        putVarint(out, qa.blocks[b].size());
-        out.insert(out.end(), qa.blocks[b].begin(), qa.blocks[b].end());
+    StatusOr<QualityLayout> layout =
+        tryParseQualityStream(packed.data(), packed.size());
+    if (!layout.ok())
+        sage_fatal("quality stream: ", layout.status().message());
+    std::string flat;
+    for (const QualityBlockExtent &block : layout->blocks) {
+        const size_t at = flat.size();
+        flat.resize(at + block.chars);
+        decodeQualityBlockInto(layout->alphabet, packed.data() + block.offset,
+                               block.size, block.chars, flat.data() + at);
     }
-    return out;
-}
-
-QualityArchive
-unpackQuality(const std::vector<uint8_t> &bytes)
-{
-    QualityArchive qa;
-    size_t pos = 0;
-    const uint64_t alpha_len = getVarint(bytes, pos);
-    qa.alphabet.assign(bytes.begin() + pos, bytes.begin() + pos + alpha_len);
-    pos += alpha_len;
-    const uint64_t reads = getVarint(bytes, pos);
-    qa.readLengths.reserve(reads);
-    for (uint64_t i = 0; i < reads; i++)
-        qa.readLengths.push_back(
-            static_cast<uint32_t>(getVarint(bytes, pos)));
-    const uint64_t blocks = getVarint(bytes, pos);
-    for (uint64_t b = 0; b < blocks; b++) {
-        qa.blockChars.push_back(getVarint(bytes, pos));
-        const uint64_t size = getVarint(bytes, pos);
-        sage_assert(pos + size <= bytes.size(), "quality pack truncated");
-        qa.blocks.emplace_back(bytes.begin() + pos,
-                               bytes.begin() + pos + size);
-        pos += size;
+    std::vector<std::string> quals;
+    quals.reserve(layout->readLengths.size());
+    size_t at = 0;
+    for (const uint32_t len : layout->readLengths) {
+        quals.push_back(flat.substr(at, len));
+        at += len;
     }
-    return qa;
+    return quals;
 }
 
 /** Per-read record flags. */
@@ -268,7 +249,7 @@ decompress(const std::vector<uint8_t> &archive, ThreadPool *pool)
 
     std::vector<std::string> quals;
     if (bundle.has("quality"))
-        quals = decompressQuality(unpackQuality(bundle.stream("quality")));
+        quals = unpackQuality(bundle.stream("quality"));
 
     result.workingSetBytes = consensus.size() + bundle.totalBytes()
         + flags.size() + readlen.size() + matchpos.size() + segs.size()

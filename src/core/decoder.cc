@@ -216,7 +216,9 @@ try {
         dnaExtents_[s] = dir_.extent(kChunkStreamNames[s]);
     }
 
-    // Host-side streams (skipped entirely in DNA-only mode).
+    // Host-side streams (skipped entirely in DNA-only mode). Each
+    // must hold exactly one field per read: a short stream would serve
+    // the missing reads with empty fields.
     if (!dna_only) {
         status = dir_.tryLoad(*source_, "headers", raw);
         if (!status.ok())
@@ -226,14 +228,18 @@ try {
             return headers.status();
         // Headers stay the flat '\n'-separated gpzip output; each
         // field ends at its newline (an unterminated tail is dropped).
-        headers_.bytes = std::move(headers.value());
+        headerBytes_ = std::move(headers.value());
+        headers_.data = reinterpret_cast<const char *>(headerBytes_.data());
         headers_.gap = 1;
-        const auto begin = headers_.bytes.begin();
+        const auto begin = headerBytes_.begin();
         for (auto at = begin;
-             (at = std::find(at, headers_.bytes.end(), '\n')) !=
-             headers_.bytes.end();
+             (at = std::find(at, headerBytes_.end(), '\n')) !=
+             headerBytes_.end();
              ++at)
             headers_.ends.push_back(static_cast<uint64_t>(at - begin));
+        sage_check_data(headers_.ends.size() == params.numReads, Corrupt,
+                        "headers stream holds ", headers_.ends.size(),
+                        " fields for ", params.numReads, " reads");
     }
     if (dir_.has("order")) {
         status = dir_.tryLoad(*source_, "order", raw);
@@ -252,45 +258,10 @@ try {
                             "order index ", index, " out of range");
         }
     }
-    if (!dna_only && params.hasQuality && dir_.has("quality")) {
-        status = dir_.tryLoad(*source_, "quality", raw);
+    if (!dna_only && params.hasQuality) {
+        status = tryParseQuality(raw);
         if (!status.ok())
             return status;
-        const std::vector<uint8_t> &packed = raw;
-        QualityArchive qa;
-        size_t pos = 0;
-        const uint64_t alpha_len = getVarint(packed, pos);
-        sage_check_data(alpha_len <= packed.size() - pos, Truncated,
-                        "quality alphabet runs past the stream end");
-        qa.alphabet.assign(packed.begin() + pos,
-                           packed.begin() + pos + alpha_len);
-        pos += alpha_len;
-        // Read lengths become prefix sums: quality field i ends at
-        // quals_.ends[i] in the concatenated block output.
-        const uint64_t reads = getVarint(packed, pos);
-        uint64_t end = 0;
-        for (uint64_t i = 0; i < reads; i++) {
-            end += static_cast<uint32_t>(getVarint(packed, pos));
-            quals_.ends.push_back(end);
-        }
-        const uint64_t blocks = getVarint(packed, pos);
-        for (uint64_t b = 0; b < blocks; b++) {
-            qa.blockChars.push_back(getVarint(packed, pos));
-            const uint64_t size = getVarint(packed, pos);
-            sage_check_data(size <= packed.size() - pos, Truncated,
-                            "quality block runs past the stream end");
-            qa.blocks.emplace_back(packed.begin() + pos,
-                                   packed.begin() + pos + size);
-            pos += size;
-        }
-        quals_.bytes.reserve(qa.totalChars());
-        for (size_t b = 0; b < qa.blocks.size(); b++) {
-            const std::string block = decompressQualityBlock(qa, b);
-            quals_.bytes.insert(quals_.bytes.end(), block.begin(),
-                                block.end());
-        }
-        sage_check_data(end == quals_.bytes.size(), Corrupt,
-                        "quality archive length mismatch");
     }
 
     matchCodec_ = std::make_unique<TunedFieldCodec>(params.matchPos);
@@ -347,6 +318,111 @@ try {
 } catch (const std::length_error &) {
     return Status::corrupt("archive rejected: parsing exceeded the "
                            "allocation limit");
+}
+
+Status
+SageDecoder::tryParseQuality(std::vector<uint8_t> &scratch)
+{
+    // Only the framing is parsed here: the blocks stay in the source
+    // until a chunk decode first touches them. A source without views
+    // lends the stream through @p scratch for the parse alone.
+    if (!dir_.has("quality"))
+        return Status::corrupt("missing stream: quality");
+    const StreamExtent extent = dir_.extent("quality");
+    const uint8_t *packed = source_->view(extent.offset,
+                                          static_cast<size_t>(extent.size));
+    if (!packed) {
+        Status status = dir_.tryLoad(*source_, "quality", scratch);
+        if (!status.ok())
+            return status;
+        packed = scratch.data();
+    }
+    StatusOr<QualityLayout> layout =
+        tryParseQualityStream(packed, static_cast<size_t>(extent.size));
+    if (!layout.ok())
+        return layout.status();
+    sage_check_data(layout->readLengths.size() == info_.params.numReads,
+                    Corrupt, "quality stream holds ",
+                    layout->readLengths.size(), " reads for ",
+                    info_.params.numReads);
+
+    // Read lengths become prefix sums: quality field i ends at
+    // quals_.ends[i] in the flat buffer the blocks decode into.
+    quals_.ends.reserve(layout->readLengths.size());
+    uint64_t end = 0;
+    for (const uint32_t length : layout->readLengths) {
+        end += length;
+        quals_.ends.push_back(end);
+    }
+    qualityChars_.reset(new char[static_cast<size_t>(end)]);
+    quals_.data = qualityChars_.get();
+    qualityAlphabet_ = std::move(layout->alphabet);
+    qualityBlocks_ = std::vector<QualityBlock>(layout->blocks.size());
+    uint64_t first = 0;
+    for (size_t b = 0; b < qualityBlocks_.size(); b++) {
+        const QualityBlockExtent &block = layout->blocks[b];
+        qualityBlocks_[b].firstChar = first;
+        qualityBlocks_[b].chars = block.chars;
+        qualityBlocks_[b].offset = extent.offset + block.offset;
+        qualityBlocks_[b].size = block.size;
+        first += block.chars;
+    }
+    return Status();
+}
+
+std::pair<size_t, size_t>
+SageDecoder::qualityBlockSpan(size_t first_chunk, size_t end_chunk) const
+{
+    if (qualityBlocks_.empty() || first_chunk >= end_chunk)
+        return {0, 0};
+    const ChunkSlice &last = chunks_[end_chunk - 1];
+    const uint64_t begin = quals_.begin(chunks_[first_chunk].firstRead);
+    const uint64_t end = quals_.begin(last.firstRead + last.readCount);
+    if (begin == end)
+        return {0, 0};
+    const auto first = std::partition_point(
+        qualityBlocks_.begin(), qualityBlocks_.end(),
+        [&](const QualityBlock &b) { return b.firstChar + b.chars <= begin; });
+    const auto past = std::partition_point(
+        first, qualityBlocks_.end(),
+        [&](const QualityBlock &b) { return b.firstChar < end; });
+    return {static_cast<size_t>(first - qualityBlocks_.begin()),
+            static_cast<size_t>(past - qualityBlocks_.begin())};
+}
+
+Status
+SageDecoder::tryDecodeQualityBlock(size_t index) const
+{
+    const QualityBlock &block = qualityBlocks_[index];
+    if (block.decoded.load(std::memory_order_acquire))
+        return Status();
+    // Not std::call_once: whether it re-arms after a throwing callable
+    // is not portable, and a failed decode must stay retryable.
+    std::lock_guard<std::mutex> lock(block.mutex);
+    if (block.decoded.load(std::memory_order_relaxed))
+        return Status();
+    try {
+        std::vector<uint8_t> owned;
+        const uint8_t *bytes =
+            source_->view(block.offset, static_cast<size_t>(block.size));
+        if (!bytes) {
+            Status status = source_->tryRead(
+                block.offset, static_cast<size_t>(block.size), owned);
+            if (!status.ok())
+                return status;
+            bytes = owned.data();
+        }
+        decodeQualityBlockInto(qualityAlphabet_, bytes,
+                               static_cast<size_t>(block.size), block.chars,
+                               qualityChars_.get() + block.firstChar);
+    } catch (const StatusError &err) {
+        return err.status();
+    } catch (const std::bad_alloc &) {
+        return Status::corrupt("quality block ", index,
+                               " decode exceeded the allocation limit");
+    }
+    block.decoded.store(true, std::memory_order_release);
+    return Status();
 }
 
 uint64_t
@@ -613,6 +689,13 @@ SageDecoder::tryDecodeChunkShared(size_t chunk) const
                                   chunks_.size(), " chunks)");
     }
     const ChunkSlice &slice = chunks_[chunk];
+    const auto [first_block, past_block] =
+        qualityBlockSpan(chunk, chunk + 1);
+    for (size_t b = first_block; b < past_block; b++) {
+        Status status = tryDecodeQualityBlock(b);
+        if (!status.ok())
+            return status;
+    }
     // The fetch goes through the non-fatal source path so a failing
     // disk reports IoError here instead of killing the process; decode
     // errors on corrupt bytes surface as StatusError from the bit
@@ -626,7 +709,7 @@ SageDecoder::tryDecodeChunkShared(size_t chunk) const
         ChunkCursor cur(std::move(bytes.value()));
 
         // Size the batch exactly before decoding: the host fields are
-        // already resident, and a pre-pass over the length stream
+        // resident now, and a pre-pass over the length stream
         // gives every read's base count.
         uint64_t host_bytes = 0;
         for (uint64_t r = 0; r < slice.readCount; r++) {

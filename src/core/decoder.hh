@@ -14,22 +14,29 @@
  *     this decoder reports.
  *
  * The decoder reads the container through a ByteSource
- * (io/byte_stream.hh): headers, chunk table, consensus and the host
- * streams (read headers, quality, order) are parsed at open, while the
- * 13 DNA streams are fetched per chunk, exactly when a chunk is
- * decoded. Over a FileSource this decodes any chunk without ever
- * loading the full archive; over a MemorySource the per-chunk fetches
- * are zero-copy views. A StripedSource (io/striped.hh) serves chunk
- * fetches from a device array (paper Fig. 15).
+ * (io/byte_stream.hh): headers, chunk table, consensus, the read
+ * headers and the order stream are parsed at open, and so is the
+ * quality stream's framing (alphabet, read lengths, block extents),
+ * while the 13 DNA streams are fetched per chunk, exactly when a chunk
+ * is decoded. Quality is decoded lazily, per block (paper §5.1.5): the
+ * first chunk decode that touches a quality block fetches and decodes
+ * that block once into the decoder's flat quality buffer, and every
+ * later chunk reads it from there. Over a FileSource this decodes any
+ * chunk without ever loading the full archive; over a MemorySource the
+ * per-chunk fetches are zero-copy views. A StripedSource
+ * (io/striped.hh) serves chunk fetches from a device array (paper
+ * Fig. 15).
  *
  * Container v2 archives carry a chunk index (format.hh): each chunk is
  * an independently decodable slice of the read set, the software
  * analogue of the paper's per-Scan-Unit slices. v1 archives load as a
  * single chunk.
  *
- * The decoder is immutable after open and tryDecodeChunkShared() is
- * const, so any number of threads may decode chunks of one decoder
- * concurrently. It holds no cursor: the sequential walk, the
+ * The decoder is immutable after open apart from its quality blocks,
+ * each decoded exactly once under its own lock, and
+ * tryDecodeChunkShared() is const, so any number of threads may decode
+ * chunks of one decoder concurrently. It holds no cursor: the
+ * sequential walk, the
  * whole-archive and packed decodes, the order restoration and the
  * decode-ahead all live in SageReader (io/session.hh), which is what
  * most users should open instead of a SageDecoder.
@@ -38,10 +45,13 @@
 #ifndef SAGE_CORE_DECODER_HH
 #define SAGE_CORE_DECODER_HH
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/format.hh"
@@ -129,20 +139,24 @@ class SageDecoder
      * The decode primitive: decode chunk @p chunk alone into one flat
      * ReadBatch of stored-order reads (header, bases and quality; the
      * host fields are empty when the archive was opened DNA-only or
-     * carries none). The batch is sized exactly before decoding (the
-     * host fields are resident and a pre-pass over the length stream
-     * gives the base count), each read decodes into one reused scratch
-     * string and is copied into its arena slot, so a chunk costs a
-     * constant handful of allocations whatever its read count.
+     * carries none). The quality blocks the chunk overlaps are
+     * decoded first, unless an earlier call already did. The batch is
+     * sized exactly before decoding (the host fields are then
+     * resident and a pre-pass over the length stream gives the base
+     * count), each read decodes into one reused scratch string and is
+     * copied into its arena slot, so a chunk costs a constant handful
+     * of allocations whatever its read count.
      *
-     * Writes no decoder state: any number of threads may call it
-     * concurrently, each fetching its own byte slices through the
+     * Writes no decoder state but the quality blocks it decodes, each
+     * exactly once under its own lock: any number of threads may call
+     * it concurrently, each fetching its own byte slices through the
      * thread-safe ByteSource, and the same chunk decodes repeatably.
      *
      * I/O failures (through the source's recoverable read path),
      * corrupt chunk data and an out-of-range @p chunk come back as a
      * Status instead of aborting, so one bad chunk degrades one
-     * request, not the process.
+     * request, not the process. A quality block whose fetch or decode
+     * failed stays undecoded, and the next call that needs it retries.
      */
     StatusOr<ReadBatch> tryDecodeChunkShared(size_t chunk) const;
 
@@ -174,24 +188,45 @@ class SageDecoder
         std::array<size_t, kChunkStreamCount> sizes{};
     };
 
-    /** One host stream held flat: field i is bytes[begin, ends[i]),
+    /** One host stream held flat: field i is data[begin, ends[i]),
      *  where begin is ends[i-1] plus @c gap separator bytes (0 for
-     *  the first field). Fields past ends.size() read as empty. */
+     *  the first field). Fields past ends.size() read as empty. The
+     *  bytes are owned by the decoder (headerBytes_, qualityChars_). */
     struct FlatField
     {
-        std::vector<uint8_t> bytes;
+        const char *data = nullptr;
         std::vector<uint64_t> ends;
         uint64_t gap = 0;
+
+        /** Offset of field @p i's first byte; @p i == ends.size()
+         *  gives the end of the last field plus the gap. */
+        uint64_t
+        begin(uint64_t i) const
+        {
+            return i == 0 ? 0 : ends[i - 1] + gap;
+        }
 
         std::string_view
         at(uint64_t i) const
         {
             if (i >= ends.size())
                 return {};
-            const uint64_t begin = i == 0 ? 0 : ends[i - 1] + gap;
-            return {reinterpret_cast<const char *>(bytes.data()) + begin,
-                    static_cast<size_t>(ends[i] - begin)};
+            return {data + begin(i),
+                    static_cast<size_t>(ends[i] - begin(i))};
         }
+    };
+
+    /** One independently decodable quality block: its slice of the
+     *  flat quality buffer and its compressed bytes in the source. */
+    struct QualityBlock
+    {
+        uint64_t firstChar = 0;  ///< Offset of its chars in qualityChars_.
+        uint64_t chars = 0;
+        uint64_t offset = 0;     ///< Absolute position of the payload.
+        uint64_t size = 0;       ///< Compressed bytes.
+        /** Serializes the block's decode; decoded publishes its chars. */
+        mutable std::mutex mutex;
+        mutable std::atomic<bool> decoded{false};
     };
 
     /** tryOpen's blank instance; every member has a safe default. */
@@ -203,10 +238,26 @@ class SageDecoder
      *  untrusted container framing, stream tables and host streams. */
     Status tryParseContainer(bool dna_only);
 
+    /** Parse the quality stream's framing into quals_.ends and
+     *  qualityBlocks_ and size qualityChars_; decodes no block.
+     *  @p scratch holds the stream while it is parsed when the source
+     *  cannot lend a view of it. */
+    Status tryParseQuality(std::vector<uint8_t> &scratch);
+
     /** Fetch every stream slice of @p slice through the source's
      *  recoverable read path: views where the source has them, the
      *  rest copied into one owned buffer by one batched read. */
     StatusOr<ChunkBytes> tryFetchChunkBytes(const ChunkSlice &slice) const;
+
+    /** Quality blocks [first, end) holding the quality of chunks
+     *  [@p first_chunk, @p end_chunk); empty without quality. */
+    std::pair<size_t, size_t> qualityBlockSpan(size_t first_chunk,
+                                               size_t end_chunk) const;
+
+    /** Fetch and decode quality block @p block into qualityChars_
+     *  unless it already is; thread-safe, decodes each block once. A
+     *  failure leaves the block undecoded for a later call to retry. */
+    Status tryDecodeQualityBlock(size_t block) const;
 
     /** Decode the next read's bases via @p cur into @p bases (cleared
      *  first; its capacity is reused) in stored orientation. Returns
@@ -241,7 +292,13 @@ class SageDecoder
 
     // Host-side streams, indexed by stored-order read index.
     FlatField headers_;
+    std::vector<uint8_t> headerBytes_;  ///< Backs headers_.data.
     FlatField quals_;
+    /** Backs quals_.data: sized at open but left uninitialized, so a
+     *  block's pages become resident only once it is decoded. */
+    std::unique_ptr<char[]> qualityChars_;
+    std::string qualityAlphabet_;
+    std::vector<QualityBlock> qualityBlocks_;
     std::vector<uint32_t> order_;
 
     // Field codecs: immutable after open, shared by all chunk cursors

@@ -175,6 +175,14 @@ SageReader::forEachChunk(size_t first, size_t end, ThreadPool *pool,
             fn(c, walkChunk(c, end));
         return;
     }
+    // The range's quality blocks go first, one task each: adjacent
+    // chunks share a block, so lanes left to decode it themselves
+    // would queue on its lock one behind the other. A failure here is
+    // not lost: the chunk that needs the block retries it and reports.
+    const auto [first_block, past_block] =
+        decoder_->qualityBlockSpan(first, end);
+    for (size_t b = first_block; b < past_block; b++)
+        pool->submit([this, b] { (void)decoder_->tryDecodeQualityBlock(b); });
     // Lane k decodes chunks k, k + lanes, ... of the range, each only
     // once this thread has consumed (and freed) the lane's previous
     // one: a worker holds one batch at a time, which keeps its malloc

@@ -266,7 +266,8 @@ class SageReader
     /** Call @p fn on every chunk in [@p first, @p end), on this thread
      *  and in chunk order. The chunks decode across @p pool when it
      *  has more than one thread (and there is more than one chunk),
-     *  else as a sequential walk (walkChunk). */
+     *  after one pool task per quality block of the range, else as a
+     *  sequential walk (walkChunk). */
     void forEachChunk(size_t first, size_t end, ThreadPool *pool,
                       const ChunkFn &fn);
 

@@ -19,10 +19,14 @@
 #include <thread>
 #include <vector>
 
+#include "compress/gpzip.hh"
+#include "compress/quality.hh"
+#include "compress/streams.hh"
 #include "core/sage.hh"
 #include "io/fault_injection.hh"
 #include "simgen/synthesize.hh"
 #include "util/thread_pool.hh"
+#include "util/varint.hh"
 
 namespace sage {
 namespace {
@@ -310,6 +314,90 @@ TEST(CorruptArchive, OrderStreamMustMapEveryRead)
     ASSERT_FALSE(opened.ok());
     EXPECT_EQ(opened.status().code(), StatusCode::Corrupt)
         << opened.status().toString();
+}
+
+/** A preserved-order bundle of the tiny short-read set, to edit and
+ *  re-serialize (with a valid CRC) before opening. */
+struct HostStreamBundle
+{
+    HostStreamBundle()
+    {
+        ds = synthesizeDataset(makeTinySpec(false));
+        SageConfig config;
+        config.chunkReads = 64;
+        config.preserveOrder = true;
+        sageEncodeToBundle(ds.readSet, ds.reference, config, nullptr,
+                           bundle);
+        for (const uint32_t src : storedOrder())
+            stored.push_back(ds.readSet.reads[src]);
+    }
+
+    /** Stored-to-input index of every read, from the order stream. */
+    std::vector<uint32_t>
+    storedOrder() const
+    {
+        const std::vector<uint8_t> &raw = bundle.stream("order");
+        std::vector<uint32_t> order;
+        for (size_t pos = 0; pos < raw.size();)
+            order.push_back(static_cast<uint32_t>(getVarint(raw, pos)));
+        return order;
+    }
+
+    /** Status of tryOpen over the serialized bundle. */
+    Status
+    open(bool dna_only = false) const
+    {
+        const std::vector<uint8_t> bytes = bundle.serialize();
+        const MemorySource source(bytes);
+        return SageDecoder::tryOpen(source, dna_only).status();
+    }
+
+    SimulatedDataset ds;
+    StreamBundle bundle;
+    std::vector<Read> stored;  ///< Reads in stored order.
+};
+
+TEST(CorruptArchive, HeadersStreamMustHoldOneFieldPerRead)
+{
+    HostStreamBundle archive;
+    ASSERT_TRUE(archive.open().ok()) << archive.open().toString();
+    // Drop the last read's header line: the last read would be served
+    // with an empty header.
+    std::string headers;
+    for (size_t i = 0; i + 1 < archive.stored.size(); i++)
+        headers += archive.stored[i].header + '\n';
+    archive.bundle.stream("headers") = gpzip::compress(headers);
+    const Status status = archive.open();
+    EXPECT_EQ(status.code(), StatusCode::Corrupt) << status.toString();
+    // A DNA-only open never reads the headers stream.
+    EXPECT_TRUE(archive.open(/*dna_only=*/true).ok());
+}
+
+TEST(CorruptArchive, QualityStreamMustHoldOneLengthPerRead)
+{
+    HostStreamBundle archive;
+    std::vector<std::string> quals;
+    for (size_t i = 0; i + 1 < archive.stored.size(); i++)
+        quals.push_back(archive.stored[i].quals);
+    archive.bundle.stream("quality") = packQuality(compressQuality(quals));
+    const Status status = archive.open();
+    EXPECT_EQ(status.code(), StatusCode::Corrupt) << status.toString();
+    EXPECT_TRUE(archive.open(/*dna_only=*/true).ok());
+}
+
+TEST(CorruptArchive, QualityStreamRequiredWhenParamsSayQuality)
+{
+    HostStreamBundle archive;
+    StreamBundle without;
+    for (const auto &[name, size] : archive.bundle.sizes()) {
+        (void)size;
+        if (name != "quality")
+            without.stream(name) = archive.bundle.stream(name);
+    }
+    archive.bundle = std::move(without);
+    const Status status = archive.open();
+    EXPECT_EQ(status.code(), StatusCode::Corrupt) << status.toString();
+    EXPECT_TRUE(archive.open(/*dna_only=*/true).ok());
 }
 
 TEST(CorruptArchive, TryOpenReportsMissingStreams)

@@ -7,7 +7,9 @@
  * chunkReads (1, 7, and more than half the set), quality kept or
  * dropped, and preserveOrder on or off, plus long-read corpora
  * (thousands of bases per read) at chunkReads 7 and more than half the
- * set, plus single-chunk legacy (v1, chunkReads 0) archives. The
+ * set, plus single-chunk legacy (v1, chunkReads 0) archives, plus
+ * short-read archives with 500-char quality blocks at chunkReads 7 and
+ * more than half the set, so quality blocks straddle chunks. The
  * stored order is taken from the sequential reader (SageReader::next)
  * and checked to be a permutation of the input; every other path must
  * then return it byte for byte, header and quality included:
@@ -49,29 +51,44 @@
 namespace sage {
 namespace {
 
+/** Container layout of a grid point's archive. One byte, and 0 or 1
+ *  for the chunked and v1 points: test names embed the parameter's
+ *  bytes, so those points must keep their values. */
+enum class Layout : uint8_t
+{
+    Chunked = 0,
+    /** A single-chunk v1 archive (chunkReads 0 in the SageConfig). */
+    LegacyV1 = 1,
+    /** Chunked, with quality blocks of kSmallQualityBlock chars: a
+     *  short-read chunk of 7 reads spans about three blocks, and
+     *  blocks straddle chunk boundaries. */
+    SmallQualityBlocks = 2,
+};
+
+constexpr uint64_t kSmallQualityBlock = 500;
+
 /** One grid point. chunkReads 0 means "just over half the set",
- *  unless legacyV1 asks for a single-chunk v1 archive (chunkReads 0 in
- *  the SageConfig). legacyV1 sits in what was padding, so the existing
- *  points print (and are named) exactly as before. */
+ *  unless the layout is LegacyV1. */
 struct GridPoint
 {
     uint32_t chunkReads;
     bool keepQuality;
     bool preserveOrder;
     bool longReads = false;
-    bool legacyV1 = false;
+    Layout layout = Layout::Chunked;
 };
 
 std::string
 gridName(const ::testing::TestParamInfo<GridPoint> &info)
 {
     const GridPoint &p = info.param;
-    return (p.legacyV1              ? std::string("v1")
-                : p.chunkReads == 0 ? std::string("chunkHalfPlus")
+    return (p.layout == Layout::LegacyV1 ? std::string("v1")
+                : p.chunkReads == 0      ? std::string("chunkHalfPlus")
                                     : "chunk" + std::to_string(p.chunkReads)) +
         (p.keepQuality ? "_qual" : "_noqual") +
         (p.preserveOrder ? "_ordered" : "_stored") +
-        (p.longReads ? "_long" : "");
+        (p.longReads ? "_long" : "") +
+        (p.layout == Layout::SmallQualityBlocks ? "_qblock" : "");
 }
 
 std::vector<GridPoint>
@@ -93,8 +110,16 @@ grid()
         }
     }
     for (const bool quality : {true, false}) {
-        for (const bool order : {true, false})
-            points.push_back(GridPoint{0, quality, order, false, true});
+        for (const bool order : {true, false}) {
+            points.push_back(
+                GridPoint{0, quality, order, false, Layout::LegacyV1});
+        }
+    }
+    for (const uint32_t chunk_reads : {7u, 0u}) {
+        for (const bool order : {true, false}) {
+            points.push_back(GridPoint{chunk_reads, true, order, false,
+                                       Layout::SmallQualityBlocks});
+        }
     }
     return points;
 }
@@ -139,13 +164,16 @@ class ReadPathRoundTrip : public ::testing::TestWithParam<GridPoint>
                 read.quals.clear();
         }
 
+        const bool legacy = point.layout == Layout::LegacyV1;
         SageConfig config;
-        config.chunkReads = point.legacyV1 ? 0
+        config.chunkReads = legacy ? 0
             : point.chunkReads != 0
             ? point.chunkReads
             : static_cast<uint32_t>(input_.size() / 2 + 1);
         config.keepQuality = point.keepQuality;
         config.preserveOrder = point.preserveOrder;
+        if (point.layout == Layout::SmallQualityBlocks)
+            config.quality.blockChars = kSmallQualityBlock;
         const SageArchive archive =
             sageCompress(ds.readSet, ds.reference, config);
 
@@ -167,10 +195,10 @@ class ReadPathRoundTrip : public ::testing::TestWithParam<GridPoint>
             stored_.push_back(reader.next());
         chunks_ = reader.chunkCount();
         ASSERT_EQ(reader.info().params.version,
-                  point.legacyV1 ? kFormatVersionLegacy
+                  legacy ? kFormatVersionLegacy
                                  : kFormatVersionChunked);
         // A v1 archive is one chunk holding every read.
-        chunkReads_ = point.legacyV1 ? stored_.size() : config.chunkReads;
+        chunkReads_ = legacy ? stored_.size() : config.chunkReads;
     }
 
     void
