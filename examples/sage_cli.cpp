@@ -708,12 +708,7 @@ cmdServeStress(int argc, char **argv)
                 static_cast<unsigned long long>(stats.cache.misses),
                 static_cast<unsigned long long>(stats.cache.evictions),
                 static_cast<double>(stats.cache.residentBytes) / 1e6);
-    std::printf("  request latency: p50 %.2fms, p99 %.2fms, max "
-                "%.2fms (%llu samples)\n",
-                stats.p50LatencySeconds * 1e3,
-                stats.p99LatencySeconds * 1e3,
-                stats.maxLatencySeconds * 1e3,
-                static_cast<unsigned long long>(stats.latencySamples));
+    std::printf("  request latency, by priority:\n");
     for (size_t p = 0; p < kRequestPriorityCount; p++) {
         const LatencySummary &lat = stats.latencyByPriority[p];
         if (lat.samples == 0)

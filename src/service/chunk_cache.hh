@@ -17,8 +17,8 @@
  * Why not LRU: when every client performs a sequential walk, pure LRU
  * degenerates — each single-touch streaming chunk evicts something on
  * insert, so a genuinely hot chunk is flushed by traffic that will
- * never come back (BENCH_service.json's 4 MiB x 64-client row
- * documented exactly this). SIEVE keeps a visited bit per entry and
+ * never come back (a 64-client fleet over a 4 MiB budget measured
+ * exactly this). SIEVE keeps a visited bit per entry and
  * evicts at a hand that sweeps from the oldest entry toward the
  * newest: one-touch scan traffic is evicted almost immediately, while
  * an entry that was re-referenced since the hand last passed survives

@@ -334,7 +334,6 @@ SageArchiveService::recordRequest(RequestPriority priority,
         cancelled_++;
     else if (status == RequestStatus::Error)
         errored_++;
-    latency_.record(seconds);
     latencyByPriority_[static_cast<size_t>(priority)].record(seconds);
 }
 
@@ -439,11 +438,6 @@ SageArchiveService::stats() const
         out.corruptChunks = corruptChunks_;
         out.retries = retries_;
         out.readaheadWarms = readaheadWarms_;
-        out.latencySamples = latency_.count();
-        out.meanLatencySeconds = latency_.meanSeconds();
-        out.p50LatencySeconds = latency_.quantileSeconds(0.50);
-        out.p99LatencySeconds = latency_.quantileSeconds(0.99);
-        out.maxLatencySeconds = latency_.maxSeconds();
         for (size_t p = 0; p < kRequestPriorityCount; p++)
             out.latencyByPriority[p] = latencyByPriority_[p].summary();
         out.queueDepth = queued_;

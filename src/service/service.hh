@@ -30,7 +30,7 @@
  *     chunk into the cache (the serving-layer analogue of
  *     SageReaderOptions::prefetch);
  *   - ServiceStats: request/byte counters, cache hit rate, queue
- *     depth, and request latency both overall and per priority class
+ *     depth, and request latency per priority class
  *     (util/histogram.hh's LatencyHistogram), snapshotted
  *     consistently against scheduler mutation.
  *
@@ -187,18 +187,10 @@ struct ServiceStats
     /** Cache counters (hit rate, evictions, ghost hits, resident). */
     ChunkCacheStats cache;
 
-    /** Request latency, enqueue to completion, across every priority
-     *  class (kept for compatibility — the per-priority summaries
-     *  below are the ones to alert on: this mix dilutes an
-     *  interactive p99 with background warms that by design soak at
-     *  the queue tail). */
-    uint64_t latencySamples = 0;
-    double meanLatencySeconds = 0.0;
-    double p50LatencySeconds = 0.0;
-    double p99LatencySeconds = 0.0;
-    double maxLatencySeconds = 0.0;
-
-    /** Latency split by priority class (index by RequestPriority). */
+    /** Request latency, enqueue to completion, per priority class
+     *  (index by RequestPriority). Classes are kept apart because a
+     *  mix would dilute an interactive p99 with background warms that
+     *  by design soak at the queue tail. */
     std::array<LatencySummary, kRequestPriorityCount>
         latencyByPriority{};
 };
@@ -480,7 +472,6 @@ class SageArchiveService
     std::atomic<uint64_t> readsServed_{0};
     std::atomic<uint64_t> bytesServed_{0};
     uint64_t readaheadWarms_ = 0;
-    LatencyHistogram latency_;
     std::array<LatencyHistogram, kRequestPriorityCount>
         latencyByPriority_{};
 };

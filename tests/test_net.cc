@@ -34,6 +34,7 @@
 #include <future>
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include "core/sage.hh"
 #include "simgen/synthesize.hh"
@@ -1797,6 +1798,72 @@ TEST_F(NetServerTest, CorruptedFramesNeverYieldWrongBytes)
               0u);
 
     proxy.stop();
+    server.stop();
+}
+
+TEST_F(NetServerTest, ResilientFleetCompletesEveryWalkUnderShedding)
+{
+    // One worker and an admission high-water mark of one: eight
+    // walkers keep the queue full, so the server sheds for the whole
+    // run. Every shed must reach its client as an Overloaded reply
+    // that the client rides out; no walk may lose or change a read.
+    ThreadPool pool(1);
+    MultiArchiveOptions service_options;
+    service_options.pool = &pool;
+    service_options.admissionHighWater = 1;
+    MultiArchiveService service(dir_, service_options);
+    Server server(service);
+    ASSERT_TRUE(server.start().ok());
+
+    // Hold the only worker until the first shed, so that shedding is
+    // certain rather than left to scheduling.
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    pool.submit([released] { released.wait(); });
+
+    constexpr size_t kClients = 8;
+    std::vector<net::ResilientClientStats> client_stats(kClients);
+    std::vector<std::thread> walkers;
+    for (size_t c = 0; c < kClients; c++) {
+        walkers.emplace_back([&, c] {
+            ResilientClientOptions options;
+            options.retry.maxAttempts = 1000000;  // No walk gives up.
+            options.retry.maxBackoffSeconds = 0.005;
+            options.retry.seed = c + 1;
+            ResilientClient client("127.0.0.1", server.port(), options);
+            const CorpusArchive &archive = corpus_[c % corpus_.size()];
+            const StatusOr<OpenReply> open = client.open(archive.name);
+            ASSERT_TRUE(open.ok()) << open.status().toString();
+            walkArchive(client, open->archive, archive.expected);
+            client_stats[c] = client.stats();
+        });
+    }
+    const auto give_up = std::chrono::steady_clock::now() +
+        std::chrono::seconds(10);
+    while (service.stats().overloaded == 0 &&
+           std::chrono::steady_clock::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    release.set_value();
+    for (std::thread &walker : walkers)
+        walker.join();
+
+    uint64_t overloaded_retries = 0;
+    for (const net::ResilientClientStats &stats : client_stats) {
+        overloaded_retries += stats.overloadedRetries;
+        EXPECT_EQ(stats.transportRetries, 0u);
+        EXPECT_EQ(stats.reconnects, 0u);
+    }
+    StatusOr<std::unique_ptr<Client>> probe =
+        Client::connect("127.0.0.1", server.port());
+    ASSERT_TRUE(probe.ok()) << probe.status().toString();
+    const StatusOr<WireServerStats> wire = (*probe)->statServer();
+    ASSERT_TRUE(wire.ok()) << wire.status().toString();
+    EXPECT_GT(wire->overloaded, 0u);
+    EXPECT_EQ(overloaded_retries, wire->overloaded);
+
+    const net::ServerNetStats net_stats = server.netStats();
+    EXPECT_EQ(net_stats.protocolErrors, 0u);
+    EXPECT_EQ(net_stats.crcMismatches, 0u);
     server.stop();
 }
 

@@ -9,10 +9,13 @@
  * (thousands of bases per read) at chunkReads 7 and more than half the
  * set, plus single-chunk legacy (v1, chunkReads 0) archives, plus
  * short-read archives with 500-char quality blocks at chunkReads 7 and
- * more than half the set, so quality blocks straddle chunks. The
- * stored order is taken from the sequential reader (SageReader::next)
- * and checked to be a permutation of the input; every other path must
- * then return it byte for byte, header and quality included:
+ * more than half the set, so quality blocks straddle chunks, plus
+ * N-rich short-read archives (a fifth of the reads hold an N) at
+ * chunkReads 7 and more than half the set, with and without quality.
+ * The stored order is taken from the sequential reader
+ * (SageReader::next) and checked to be a permutation of the input;
+ * every other path must then return it byte for byte, header and
+ * quality included:
  *
  *   - SageReader::decodeAll over a thread pool and without one (the
  *     input order itself when the archive preserved it);
@@ -63,7 +66,12 @@ enum class Layout : uint8_t
      *  short-read chunk of 7 reads spans about three blocks, and
      *  blocks straddle chunk boundaries. */
     SmallQualityBlocks = 2,
+    /** Chunked, with kNRichReadProb of the reads holding an N, so the
+     *  decoder's escape payloads cross every path. */
+    NRich = 3,
 };
+
+constexpr double kNRichReadProb = 0.2;
 
 constexpr uint64_t kSmallQualityBlock = 500;
 
@@ -88,7 +96,8 @@ gridName(const ::testing::TestParamInfo<GridPoint> &info)
         (p.keepQuality ? "_qual" : "_noqual") +
         (p.preserveOrder ? "_ordered" : "_stored") +
         (p.longReads ? "_long" : "") +
-        (p.layout == Layout::SmallQualityBlocks ? "_qblock" : "");
+        (p.layout == Layout::SmallQualityBlocks ? "_qblock" : "") +
+        (p.layout == Layout::NRich ? "_nrich" : "");
 }
 
 std::vector<GridPoint>
@@ -119,6 +128,12 @@ grid()
         for (const bool order : {true, false}) {
             points.push_back(GridPoint{chunk_reads, true, order, false,
                                        Layout::SmallQualityBlocks});
+        }
+    }
+    for (const uint32_t chunk_reads : {7u, 0u}) {
+        for (const bool quality : {true, false}) {
+            points.push_back(GridPoint{chunk_reads, quality, false, false,
+                                       Layout::NRich});
         }
     }
     return points;
@@ -156,9 +171,18 @@ class ReadPathRoundTrip : public ::testing::TestWithParam<GridPoint>
         DatasetSpec spec = makeTinySpec(point.longReads);
         // A few hundred short reads, or a few dozen long ones.
         spec.genome.referenceLength = point.longReads ? 1 << 15 : 1 << 14;
+        if (point.layout == Layout::NRich)
+            spec.sequencer.nReadProb = kNRichReadProb;
         const SimulatedDataset ds = synthesizeDataset(spec);
         input_ = ds.readSet.reads;
         ASSERT_GT(input_.size(), 16u);
+        if (point.layout == Layout::NRich) {
+            const auto has_n = [](const Read &read) {
+                return read.bases.find('N') != std::string::npos;
+            };
+            ASSERT_GT(std::count_if(input_.begin(), input_.end(), has_n),
+                      static_cast<ptrdiff_t>(input_.size() / 10));
+        }
         if (!point.keepQuality) {
             for (Read &read : input_)
                 read.quals.clear();

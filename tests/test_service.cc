@@ -17,7 +17,10 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/sage.hh"
 #include "simgen/synthesize.hh"
@@ -506,8 +509,10 @@ TEST_F(ServiceTest, ReadRangeMatchesSequentialReader)
     EXPECT_EQ(stats.bytesServed, served_bytes);
     EXPECT_GT(stats.requests, 0u);
     EXPECT_GT(stats.cache.hitRate(), 0.0);
-    EXPECT_GT(stats.latencySamples, 0u);
-    EXPECT_GE(stats.p99LatencySeconds, stats.p50LatencySeconds);
+    const LatencySummary &normal = stats.latencyByPriority[
+        static_cast<size_t>(RequestPriority::Normal)];
+    EXPECT_GT(normal.samples, 0u);
+    EXPECT_GE(normal.p99Seconds, normal.p50Seconds);
 }
 
 TEST_F(ServiceTest, ReadChunkMatchesReaderChunks)
@@ -766,7 +771,10 @@ TEST_F(ServiceTest, StressManyClientsByteIdenticalToSequentialReader)
     EXPECT_GT(stats.readsServed, 0u);
     EXPECT_GT(stats.bytesServed, 0u);
     EXPECT_LE(stats.cache.residentBytes, options.cacheBudgetBytes);
-    EXPECT_GT(stats.latencySamples, 0u);
+    const LatencySummary &normal = stats.latencyByPriority[
+        static_cast<size_t>(RequestPriority::Normal)];
+    EXPECT_GT(normal.samples, 0u);
+    EXPECT_GE(normal.p99Seconds, normal.p50Seconds);
     EXPECT_GE(stats.maxQueueDepth, 1u);
 }
 
@@ -947,11 +955,63 @@ TEST_F(ServiceQosTest, InteractiveOvertakesBacklogViaDeadline)
     }
 }
 
+TEST_F(ServiceQosTest, DequeueOrderIsPriorityThenArrival)
+{
+    // With the only worker blocked, every request below is queued
+    // before any runs, so the completion order is the scheduler's
+    // dequeue order: best priority first, arrival order within one.
+    ServiceOptions service_options;
+    service_options.ownedPoolThreads = 1;
+    SageArchiveService service(path_, service_options);
+    std::promise<void> release;
+    std::shared_future<void> released = release.get_future().share();
+    service.pool().submit([released] { released.wait(); });
+
+    const std::vector<std::pair<RequestPriority, int>> arrivals = {
+        {RequestPriority::Background, 0}, {RequestPriority::Normal, 0},
+        {RequestPriority::Background, 1}, {RequestPriority::Normal, 1},
+        {RequestPriority::Interactive, 0},
+        {RequestPriority::Background, 2}, {RequestPriority::Normal, 2}};
+    std::mutex mutex;
+    std::vector<std::pair<RequestPriority, int>> completed;
+    std::vector<std::future<SpanResult>> pending;
+    for (const auto &[priority, index] : arrivals) {
+        auto promise = std::make_shared<std::promise<SpanResult>>();
+        pending.push_back(promise->get_future());
+        RequestOptions options;
+        options.priority = priority;
+        service.submit(
+            64 * static_cast<uint64_t>(index), 64, options,
+            [&, promise, priority = priority,
+             index = index](SpanResult result) {
+                {
+                    std::lock_guard<std::mutex> lock(mutex);
+                    completed.emplace_back(priority, index);
+                }
+                promise->set_value(std::move(result));
+            });
+    }
+    EXPECT_EQ(service.queueDepth(), arrivals.size());
+    release.set_value();
+    for (auto &future : pending)
+        EXPECT_TRUE(future.get().ok());
+
+    const std::vector<std::pair<RequestPriority, int>> want = {
+        {RequestPriority::Interactive, 0}, {RequestPriority::Normal, 0},
+        {RequestPriority::Normal, 1}, {RequestPriority::Normal, 2},
+        {RequestPriority::Background, 0},
+        {RequestPriority::Background, 1},
+        {RequestPriority::Background, 2}};
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_EQ(completed, want);
+}
+
 TEST_F(ServiceQosTest, StatsSnapshotIsConsistentUnderLoad)
 {
     // The satellite bugfix: snapshots must be internally consistent
     // while the scheduler and request completions mutate concurrently
-    // — requests == sum(by priority) == latency samples,
+    // — requests == sum(by priority) == sum(latency samples by
+    // priority),
     // expired + cancelled <= requests, queueDepth <= maxQueueDepth,
     // monotone non-decreasing counters. Runs under TSan in CI.
     ServiceOptions service_options;
@@ -973,7 +1033,6 @@ TEST_F(ServiceQosTest, StatsSnapshotIsConsistentUnderLoad)
                 by_latency += summary.samples;
             if (by_priority != stats.requests ||
                 by_latency != stats.requests ||
-                stats.latencySamples != stats.requests ||
                 stats.expired + stats.cancelled > stats.requests ||
                 stats.queueDepth > stats.maxQueueDepth ||
                 stats.requests < last_requests) {
