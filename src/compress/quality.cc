@@ -13,16 +13,59 @@ namespace sage {
 namespace {
 
 /**
- * Context for the order-2 model: previous symbol (full resolution) and
- * the symbol before it (quantized to 4 levels). Small enough that models
- * adapt quickly even on short blocks.
+ * The order-2 model: one adaptive frequency row per context, flat
+ * (freq[ctx * symbols + s], total[ctx]). The context is the previous
+ * symbol (full resolution) and the symbol before it quantized to 4
+ * levels; small enough that the rows adapt quickly even on short
+ * blocks. The quantizer is a table, so no symbol pays a division.
  */
-unsigned
-contextOf(unsigned prev1, unsigned prev2, unsigned alphabet)
+class QualityModel
 {
-    const unsigned q2 = std::min(prev2 * 4 / std::max(1u, alphabet), 3u);
-    return prev1 * 4 + q2;
-}
+  public:
+    explicit QualityModel(unsigned symbols)
+        : symbols_(symbols),
+          freq_(static_cast<size_t>(symbols) * symbols * 4, 1),
+          total_(static_cast<size_t>(symbols) * 4, symbols)
+    {
+        for (unsigned s = 0; s < symbols; s++)
+            level_[s] = static_cast<uint8_t>(std::min(s * 4 / symbols, 3u));
+    }
+
+    void
+    encode(RangeEncoder &enc, unsigned symbol)
+    {
+        const size_t ctx = context();
+        encodeAdaptive(enc, &freq_[ctx * symbols_], symbols_, total_[ctx],
+                       symbol);
+        push(symbol);
+    }
+
+    unsigned
+    decode(RangeDecoder &dec)
+    {
+        const size_t ctx = context();
+        const unsigned symbol = decodeAdaptive(
+            dec, &freq_[ctx * symbols_], symbols_, total_[ctx]);
+        push(symbol);
+        return symbol;
+    }
+
+  private:
+    size_t context() const { return size_t{prev1_} * 4 + level_[prev2_]; }
+
+    void
+    push(unsigned symbol)
+    {
+        prev2_ = prev1_;
+        prev1_ = symbol;
+    }
+
+    unsigned symbols_;
+    std::vector<uint32_t> freq_;
+    std::vector<uint32_t> total_;
+    std::array<uint8_t, 256> level_{};
+    unsigned prev1_ = 0, prev2_ = 0;
+};
 
 } // namespace
 
@@ -47,10 +90,19 @@ QualityArchive::totalChars() const
     return total;
 }
 
+void
+requireValidQualityConfig(const QualityConfig &config)
+{
+    if (config.blockChars == 0)
+        sage_fatal("quality blockChars must be at least 1: a zero-char "
+                   "block never advances through the stream");
+}
+
 QualityArchive
 compressQuality(const std::vector<std::string> &quals,
-                const QualityConfig &config)
+                const QualityConfig &config, uint64_t chunk_reads)
 {
+    requireValidQualityConfig(config);
     QualityArchive archive;
 
     // Build the alphabet map.
@@ -69,36 +121,44 @@ compressQuality(const std::vector<std::string> &quals,
         archive.alphabet.push_back('!');
     const unsigned alphabet = archive.alphabet.size();
 
-    // Flatten characters; record per-read lengths.
+    // Flatten characters; record per-read lengths and the offset of
+    // each chunk start after the first.
     std::string flat;
-    for (const auto &q : quals) {
-        archive.readLengths.push_back(static_cast<uint32_t>(q.size()));
-        flat += q;
+    std::vector<uint64_t> chunk_starts;
+    for (size_t r = 0; r < quals.size(); r++) {
+        if (chunk_reads > 0 && r > 0 && r % chunk_reads == 0)
+            chunk_starts.push_back(flat.size());
+        archive.readLengths.push_back(static_cast<uint32_t>(quals[r].size()));
+        flat += quals[r];
     }
 
-    // Encode independent blocks with fresh model state each.
-    for (uint64_t off = 0; off < flat.size() || (off == 0 && flat.empty());
-         off += config.blockChars) {
-        const uint64_t len =
+    // Encode independent blocks with fresh model state each. A block
+    // closes at blockChars chars, or earlier at the first chunk start
+    // once it holds a quarter block: a chunk then decodes only its own
+    // block, and chunks under a quarter block share one.
+    const uint64_t min_chars = std::max<uint64_t>(1, config.blockChars / 4);
+    size_t next_start = 0;
+    uint64_t off = 0;
+    do {
+        uint64_t len =
             std::min<uint64_t>(config.blockChars, flat.size() - off);
+        while (next_start < chunk_starts.size() &&
+               chunk_starts[next_start] - off < min_chars)
+            next_start++;
+        if (next_start < chunk_starts.size())
+            len = std::min(len, chunk_starts[next_start] - off);
         RangeEncoder enc;
-        std::vector<AdaptiveModel> models(
-            static_cast<size_t>(alphabet) * 4, AdaptiveModel(alphabet));
-        unsigned prev1 = 0, prev2 = 0;
+        QualityModel model(alphabet);
         for (uint64_t i = 0; i < len; i++) {
             const int sym =
                 symbol_of[static_cast<uint8_t>(flat[off + i])];
             sage_assert(sym >= 0, "quality symbol missing from alphabet");
-            models[contextOf(prev1, prev2, alphabet)]
-                .encode(enc, static_cast<unsigned>(sym));
-            prev2 = prev1;
-            prev1 = static_cast<unsigned>(sym);
+            model.encode(enc, static_cast<unsigned>(sym));
         }
         archive.blocks.push_back(enc.finish());
         archive.blockChars.push_back(len);
-        if (flat.empty())
-            break;
-    }
+        off += len;
+    } while (off < flat.size());
     return archive;
 }
 
@@ -184,20 +244,14 @@ decodeQualityBlockInto(std::string_view alphabet, const uint8_t *data,
 {
     if (chars == 0)
         return;
-    sage_check_data(!alphabet.empty(), Corrupt,
-                    "quality block decode without an alphabet");
+    sage_check_data(!alphabet.empty() && alphabet.size() <= 256, Corrupt,
+                    "quality block decode over an alphabet of ",
+                    alphabet.size(), " symbols");
     const unsigned symbols = static_cast<unsigned>(alphabet.size());
     RangeDecoder dec(data, size);
-    std::vector<AdaptiveModel> models(
-        static_cast<size_t>(symbols) * 4, AdaptiveModel(symbols));
-    unsigned prev1 = 0, prev2 = 0;
-    for (uint64_t i = 0; i < chars; i++) {
-        const unsigned sym =
-            models[contextOf(prev1, prev2, symbols)].decode(dec);
-        out[i] = alphabet[sym];
-        prev2 = prev1;
-        prev1 = sym;
-    }
+    QualityModel model(symbols);
+    for (uint64_t i = 0; i < chars; i++)
+        out[i] = alphabet[model.decode(dec)];
 }
 
 std::string

@@ -9,6 +9,12 @@
  * variant-calling stage can fetch only the blocks around mismatches — the
  * access pattern the paper's host-side quality decompression argument
  * rests on (only ~0.03% of blocks touched on average, max 10.7%).
+ *
+ * Given the archive's chunk size, the writer ends blocks at chunk
+ * boundaries, so a chunk decode pays for about its own chunk's quality
+ * and the chunks of one archive decode their quality in parallel. The
+ * model tables are flat and the decoder's symbol search needs no
+ * division beyond range / total.
  */
 
 #ifndef SAGE_COMPRESS_QUALITY_HH
@@ -46,8 +52,9 @@ struct QualityArchive
 /** Codec parameters. */
 struct QualityConfig
 {
-    /** Uncompressed characters per independently decodable block.
-     *  The paper cites 25 MB blocks; scaled down with our datasets. */
+    /** Most uncompressed characters per independently decodable
+     *  block (at least 1). The paper cites 25 MB blocks; scaled down
+     *  with our datasets. */
     uint64_t blockChars = 1 << 20;
 };
 
@@ -68,9 +75,24 @@ struct QualityLayout
     std::vector<QualityBlockExtent> blocks;
 };
 
-/** Compress per-read quality strings (order preserved). */
+/** Exit with a clear error unless @p config can encode a stream (a
+ *  zero blockChars would never advance past the first block). */
+void requireValidQualityConfig(const QualityConfig &config);
+
+/**
+ * Compress per-read quality strings (order preserved).
+ *
+ * Blocks hold at most config.blockChars chars. With @p chunk_reads > 0
+ * (reads per archive chunk, in @p quals order) a block also closes at
+ * the first chunk boundary once it holds at least blockChars / 4
+ * chars: a chunk of that size or more gets blocks of its own, and
+ * smaller chunks share one. With @p chunk_reads == 0 every block but
+ * the last holds exactly blockChars chars. Empty input gives one empty
+ * block.
+ */
 QualityArchive compressQuality(const std::vector<std::string> &quals,
-                               const QualityConfig &config = {});
+                               const QualityConfig &config = {},
+                               uint64_t chunk_reads = 0);
 
 /**
  * Serialize @p archive as one byte stream (the container's `quality`

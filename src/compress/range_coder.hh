@@ -93,25 +93,36 @@ class RangeDecoder
             code_ = (code_ << 8) | nextByte();
     }
 
-    /** Current cumulative-frequency position for @p total. */
-    uint32_t
-    decodeFreq(uint32_t total)
+    /**
+     * Decode one symbol under the counts freq[0..symbols), which sum to
+     * @p total, and narrow the range to its interval. The symbol is
+     * the first s with code < r * (cum + freq[s]), r = range / total:
+     * the same symbol as min(code / r, total - 1) falls in, without the
+     * second division. r * total <= range < 2^32, so no product
+     * overflows, and the last symbol absorbs every code at or past
+     * r * (total - freq[last]).
+     */
+    unsigned
+    decodeSymbol(const uint32_t *freq, unsigned symbols, uint32_t total)
     {
-        r_ = range_ / total;
-        const uint32_t f = code_ / r_;
-        return f >= total ? total - 1 : f;
-    }
-
-    /** Commit to the symbol whose interval is [cumLow, cumHigh). */
-    void
-    decodeUpdate(uint32_t cum_low, uint32_t cum_high)
-    {
-        code_ -= r_ * cum_low;
-        range_ = r_ * (cum_high - cum_low);
+        const uint32_t r = range_ / total;
+        uint32_t low = 0;
+        unsigned symbol = 0;
+        // Branchy on purpose: quality symbols are skewed, so the exit
+        // predicts well; a branchless select measured slower.
+        for (; symbol + 1 < symbols; symbol++) {
+            const uint32_t high = low + r * freq[symbol];
+            if (code_ < high)
+                break;
+            low = high;
+        }
+        code_ -= low;
+        range_ = r * freq[symbol];
         while (range_ < (1u << 24)) {
             code_ = (code_ << 8) | nextByte();
             range_ <<= 8;
         }
+        return symbol;
     }
 
   private:
@@ -126,8 +137,51 @@ class RangeDecoder
     size_t pos_ = 0;
     uint32_t code_ = 0;
     uint32_t range_ = 0xffffffffu;
-    uint32_t r_ = 0;
 };
+
+/**
+ * The adaptive count update every model shares: add 32 to the coded
+ * symbol and halve all counts (keeping each at least 1) once the total
+ * passes 2^16.
+ */
+inline void
+adaptFrequencies(uint32_t *freq, unsigned symbols, uint32_t &total,
+                 unsigned symbol)
+{
+    freq[symbol] += 32;
+    total += 32;
+    if (total > (1u << 16)) {
+        total = 0;
+        for (unsigned s = 0; s < symbols; s++) {
+            freq[s] = (freq[s] + 1) >> 1;
+            total += freq[s];
+        }
+    }
+}
+
+/** Encode @p symbol under the counts freq[0..symbols) summing to
+ *  @p total, then adapt them. */
+inline void
+encodeAdaptive(RangeEncoder &enc, uint32_t *freq, unsigned symbols,
+               uint32_t &total, unsigned symbol)
+{
+    uint32_t cum = 0;
+    for (unsigned s = 0; s < symbol; s++)
+        cum += freq[s];
+    enc.encode(cum, cum + freq[symbol], total);
+    adaptFrequencies(freq, symbols, total, symbol);
+}
+
+/** Decode one symbol under the counts freq[0..symbols) summing to
+ *  @p total, then adapt them. */
+inline unsigned
+decodeAdaptive(RangeDecoder &dec, uint32_t *freq, unsigned symbols,
+               uint32_t &total)
+{
+    const unsigned symbol = dec.decodeSymbol(freq, symbols, total);
+    adaptFrequencies(freq, symbols, total, symbol);
+    return symbol;
+}
 
 /**
  * Adaptive frequency model over a small alphabet with periodic halving.
@@ -143,40 +197,17 @@ class AdaptiveModel
     void
     encode(RangeEncoder &enc, unsigned symbol)
     {
-        uint32_t cum = 0;
-        for (unsigned s = 0; s < symbol; s++)
-            cum += freq_[s];
-        enc.encode(cum, cum + freq_[symbol], total_);
-        bump(symbol);
+        encodeAdaptive(enc, freq_.data(), size(), total_, symbol);
     }
 
     unsigned
     decode(RangeDecoder &dec)
     {
-        const uint32_t f = dec.decodeFreq(total_);
-        uint32_t cum = 0;
-        unsigned symbol = 0;
-        while (cum + freq_[symbol] <= f)
-            cum += freq_[symbol++];
-        dec.decodeUpdate(cum, cum + freq_[symbol]);
-        bump(symbol);
-        return symbol;
+        return decodeAdaptive(dec, freq_.data(), size(), total_);
     }
 
   private:
-    void
-    bump(unsigned symbol)
-    {
-        freq_[symbol] += 32;
-        total_ += 32;
-        if (total_ > (1u << 16)) {
-            total_ = 0;
-            for (auto &f : freq_) {
-                f = (f + 1) >> 1;
-                total_ += f;
-            }
-        }
-    }
+    unsigned size() const { return static_cast<unsigned>(freq_.size()); }
 
     std::vector<uint32_t> freq_;
     uint32_t total_;

@@ -474,7 +474,7 @@ sageEncodeToBundle(const ReadSet &rs, std::string_view consensus,
         for (uint32_t src : prep.order)
             quals.push_back(rs.reads[src].quals);
         bundle.stream("quality") =
-            packQuality(compressQuality(quals, config.quality));
+            packQuality(compressQuality(quals, config.quality, chunk_reads));
     }
 
     archive.streamSizes = bundle.sizes();

@@ -14,12 +14,16 @@ namespace sage {
 SageWriter::SageWriter(ByteSink &sink, SageConfig config)
     : sink_(&sink), config_(config)
 {
+    requireValidQualityConfig(config_.quality);
 }
 
 SageWriter::SageWriter(const std::string &path, SageConfig config)
-    : file_(std::make_unique<FileSink>(path)), sink_(file_.get()),
-      config_(config)
+    : config_(config)
 {
+    // Checked before the file is created or truncated.
+    requireValidQualityConfig(config_.quality);
+    file_ = std::make_unique<FileSink>(path);
+    sink_ = file_.get();
 }
 
 SageWriter::~SageWriter() = default;

@@ -5,8 +5,9 @@
  * decoded once, by the first chunk decode that touches it.
  *
  *   - Blocks smaller than a chunk and blocks spanning several chunks
- *     return the input bytes through every read path, in any chunk
- *     order.
+ *     (the fixed layout of archives written before blocks were
+ *     chunk-aligned) return the input bytes through every read path,
+ *     in any chunk order.
  *   - Eight threads decoding every chunk of one fresh decoder get the
  *     bytes a sequential decode gets (run under the TSan preset in
  *     CI).
@@ -30,17 +31,20 @@
 #include <vector>
 
 #include "compress/quality.hh"
+#include "compress/streams.hh"
 #include "core/sage.hh"
 #include "io/fault_injection.hh"
 #include "simgen/synthesize.hh"
 #include "util/thread_pool.hh"
+#include "util/varint.hh"
 
 namespace sage {
 namespace {
 
 constexpr uint32_t kChunkReads = 16;  // About 2,400 quality chars.
 
-/** Quality blocks smaller than one chunk, and spanning several. */
+/** Quality blocks smaller than one chunk, and (in the fixed layout)
+ *  spanning several. */
 constexpr uint64_t kSmallBlock = 1000;
 constexpr uint64_t kLargeBlock = 10000;
 
@@ -74,15 +78,28 @@ class LazyQuality : public ::testing::Test
     }
 
     /** Compress the input with @p block_chars quality blocks; returns
-     *  the archive file's path. */
+     *  the archive file's path. With @p fixed_blocks the quality stream
+     *  is re-encoded in blocks of exactly @p block_chars chars that
+     *  ignore chunk boundaries, as older writers laid it out. */
     std::string
-    writeArchive(uint64_t block_chars)
+    writeArchive(uint64_t block_chars, bool fixed_blocks = false)
     {
         SageConfig config;
         config.chunkReads = kChunkReads;
         config.preserveOrder = true;
         config.quality.blockChars = block_chars;
-        bytes_ = sageCompress(input_, reference_, config).bytes;
+        StreamBundle bundle;
+        sageEncodeToBundle(input_, reference_, config, nullptr, bundle);
+        if (fixed_blocks) {
+            const std::vector<uint8_t> &order = bundle.stream("order");
+            std::vector<std::string> stored_quals;
+            for (size_t pos = 0; pos < order.size();)
+                stored_quals.push_back(
+                    input_.reads[getVarint(order, pos)].quals);
+            bundle.stream("quality") =
+                packQuality(compressQuality(stored_quals, config.quality));
+        }
+        bytes_ = bundle.serialize();
         paths_.push_back(dir_ + "/q" + std::to_string(block_chars) +
                          ".sage");
         FileSink sink(paths_.back());
@@ -152,7 +169,8 @@ expectSameBatch(const ReadBatch &got, const ReadBatch &want,
 TEST_F(LazyQuality, BlocksOnBothSidesOfChunkBoundariesRoundTrip)
 {
     for (const uint64_t block_chars : {kSmallBlock, kLargeBlock}) {
-        const std::string path = writeArchive(block_chars);
+        const std::string path =
+            writeArchive(block_chars, block_chars == kLargeBlock);
         const std::string label = "blockChars " + std::to_string(block_chars);
         uint64_t stream_offset = 0;
         const QualityLayout layout = qualityLayout(stream_offset);

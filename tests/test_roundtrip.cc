@@ -63,8 +63,9 @@ enum class Layout : uint8_t
     /** A single-chunk v1 archive (chunkReads 0 in the SageConfig). */
     LegacyV1 = 1,
     /** Chunked, with quality blocks of kSmallQualityBlock chars: a
-     *  short-read chunk of 7 reads spans about three blocks, and
-     *  blocks straddle chunk boundaries. */
+     *  short-read chunk of 7 reads spans about three blocks, and a
+     *  chunk's tail under a quarter block joins the next chunk's
+     *  first block, so some blocks straddle chunk boundaries. */
     SmallQualityBlocks = 2,
     /** Chunked, with kNRichReadProb of the reads holding an N, so the
      *  decoder's escape payloads cross every path. */

@@ -109,6 +109,26 @@ TEST(SageWriterTest, FileSessionRoundTrip)
     std::remove(path.c_str());
 }
 
+TEST(SageWriterTest, ZeroQualityBlockCharsIsRejectedAtConstruction)
+{
+    SageConfig config;
+    config.quality.blockChars = 0;
+    MemorySink sink;
+    EXPECT_EXIT({ SageWriter writer(sink, config); },
+                ::testing::ExitedWithCode(1), "blockChars");
+
+    // The path form rejects it before creating or truncating the file.
+    const std::string path = scratchPath("zero_block_chars.sage");
+    {
+        FileSink existing(path);
+        existing.writeBytes(std::vector<uint8_t>{1, 2, 3});
+    }
+    EXPECT_EXIT({ SageWriter writer(path, config); },
+                ::testing::ExitedWithCode(1), "blockChars");
+    EXPECT_EQ(FileSource(path).size(), 3u);
+    std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------
 // Chunk-range random access
 // ---------------------------------------------------------------------
