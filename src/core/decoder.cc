@@ -4,7 +4,6 @@
 #include <cstring>
 #include <memory>
 #include <new>
-#include <numeric>
 #include <stdexcept>
 #include <string_view>
 
@@ -85,29 +84,6 @@ struct SageDecoder::ChunkCursor
     uint64_t prevPrimary = 0;
 };
 
-SageDecoder::SageDecoder(const ByteSource &source, bool dna_only,
-                         bool verify_checksum)
-    : source_(&source)
-{
-    if (verify_checksum && !verifyArchiveChecksum(source)) {
-        sage_fatal("archive CRC mismatch (corrupt data): ",
-                   source.describe());
-    }
-    parseContainer(dna_only);
-}
-
-SageDecoder::SageDecoder(const std::vector<uint8_t> &archive,
-                         bool dna_only)
-    : ownedSource_(std::make_unique<MemorySource>(archive)),
-      source_(ownedSource_.get())
-{
-    // Resident archives keep the historical whole-container CRC check:
-    // any bit flip dies here, before a single read is produced.
-    if (!verifyArchiveChecksum(*source_))
-        sage_fatal("stream bundle CRC mismatch (corrupt data)");
-    parseContainer(dna_only);
-}
-
 StatusOr<std::unique_ptr<SageDecoder>>
 SageDecoder::tryOpen(const ByteSource &source, bool dna_only,
                      bool verify_checksum)
@@ -128,20 +104,20 @@ SageDecoder::tryOpen(const ByteSource &source, bool dna_only,
 SageDecoder::~SageDecoder() = default;
 
 StatusOr<SageDecoder::ChunkBytes>
-SageDecoder::tryFetchChunkBytes(const ChunkSlice &slice) const
+SageDecoder::tryFetchChunkBytes(size_t chunk) const
 {
     // Zero-copy views where the source provides them; everything else
     // lands in one owned buffer through one batched read (FileSource
     // coalesces the slices into preadv calls).
+    const std::array<StreamExtent, kChunkStreamCount> &extents =
+        chunkExtents(chunk);
     ChunkBytes bytes;
-    std::array<uint64_t, kChunkStreamCount> offsets{};
     size_t owned = 0;
     for (unsigned s = 0; s < kChunkStreamCount; s++) {
-        bytes.sizes[s] = static_cast<size_t>(slice.sizes[s]);
-        offsets[s] = dnaExtents_[s].offset + slice.offsets[s];
+        bytes.sizes[s] = static_cast<size_t>(extents[s].size);
         if (bytes.sizes[s] == 0)
             continue;
-        bytes.data[s] = source_->view(offsets[s], bytes.sizes[s]);
+        bytes.data[s] = source_->view(extents[s].offset, bytes.sizes[s]);
         if (!bytes.data[s])
             owned += bytes.sizes[s];
     }
@@ -153,7 +129,7 @@ SageDecoder::tryFetchChunkBytes(const ChunkSlice &slice) const
             continue;
         uint8_t *dst = bytes.owned.data() + at;
         bytes.data[s] = dst;
-        fetch[fetches++] = {offsets[s], dst, bytes.sizes[s]};
+        fetch[fetches++] = {extents[s].offset, dst, bytes.sizes[s]};
         at += bytes.sizes[s];
     }
     if (fetches > 0) {
@@ -162,14 +138,6 @@ SageDecoder::tryFetchChunkBytes(const ChunkSlice &slice) const
             return status;
     }
     return StatusOr<ChunkBytes>(std::move(bytes));
-}
-
-void
-SageDecoder::parseContainer(bool dna_only)
-{
-    Status status = tryParseContainer(dna_only);
-    if (!status.ok())
-        sage_fatal(status.message());
 }
 
 Status
@@ -209,11 +177,13 @@ try {
         params.consensusTwoBit ? OutputFormat::TwoBit
                                : OutputFormat::ThreeBit);
 
+    // Absolute extents of the 13 DNA streams, ChunkStreamIndex order.
+    std::array<StreamExtent, kChunkStreamCount> dna;
     for (unsigned s = 0; s < kChunkStreamCount; s++) {
         if (!dir_.has(kChunkStreamNames[s]))
             return Status::corrupt("missing stream: ",
                                    kChunkStreamNames[s]);
-        dnaExtents_[s] = dir_.extent(kChunkStreamNames[s]);
+        dna[s] = dir_.extent(kChunkStreamNames[s]);
     }
 
     // Host-side streams (skipped entirely in DNA-only mode). Each
@@ -272,9 +242,10 @@ try {
     seglenCodec_ = std::make_unique<TunedFieldCodec>(params.segLen);
 
     // Chunk index: v2 archives carry one; a v1 archive is one chunk
-    // spanning every stream from offset zero. Slice sizes run to the
-    // next chunk's offset (or the stream end for the last chunk), so a
-    // cursor fetches exactly its chunk's bytes.
+    // spanning every stream from offset zero. Each slice runs from its
+    // chunk's offset to the next chunk's (or to the stream end for the
+    // last chunk), so a cursor fetches exactly its chunk's bytes.
+    std::vector<std::array<uint64_t, kChunkStreamCount>> starts;
     if (params.version >= kFormatVersionChunked) {
         status = dir_.tryLoad(*source_, "chunks", raw);
         if (!status.ok())
@@ -286,8 +257,8 @@ try {
             ChunkSlice slice;
             slice.readCount = entry.readCount;
             slice.firstRead = first;
-            slice.offsets = entry.offsets;
             chunks_.push_back(slice);
+            starts.push_back(entry.offsets);
             first += entry.readCount;
         }
         sage_check_data(first == params.numReads, Corrupt,
@@ -296,17 +267,17 @@ try {
         ChunkSlice slice;
         slice.readCount = params.numReads;
         chunks_.push_back(slice);
+        starts.emplace_back();
     }
     for (size_t c = 0; c < chunks_.size(); c++) {
         for (unsigned s = 0; s < kChunkStreamCount; s++) {
-            const uint64_t begin = chunks_[c].offsets[s];
-            const uint64_t end = c + 1 < chunks_.size()
-                ? chunks_[c + 1].offsets[s] : dnaExtents_[s].size;
-            sage_check_data(begin <= end && end <= dnaExtents_[s].size,
-                            Corrupt,
+            const uint64_t begin = starts[c][s];
+            const uint64_t end =
+                c + 1 < chunks_.size() ? starts[c + 1][s] : dna[s].size;
+            sage_check_data(begin <= end && end <= dna[s].size, Corrupt,
                             "chunk table offsets out of order in stream ",
                             kChunkStreamNames[s]);
-            chunks_[c].sizes[s] = end - begin;
+            chunks_[c].extents[s] = {dna[s].offset + begin, end - begin};
         }
     }
     return Status();
@@ -439,14 +410,23 @@ SageDecoder::chunkFirstRead(size_t chunk) const
     return chunks_[chunk].firstRead;
 }
 
+const std::array<StreamExtent, kChunkStreamCount> &
+SageDecoder::chunkExtents(size_t chunk) const
+{
+    sage_assert(chunk < chunks_.size(), "chunk index out of range");
+    return chunks_[chunk].extents;
+}
+
 std::vector<uint64_t>
 SageDecoder::chunkCompressedBytes() const
 {
     std::vector<uint64_t> out;
     out.reserve(chunks_.size());
     for (const ChunkSlice &slice : chunks_) {
-        out.push_back(std::accumulate(slice.sizes.begin(),
-                                      slice.sizes.end(), uint64_t{0}));
+        uint64_t bytes = 0;
+        for (const StreamExtent &extent : slice.extents)
+            bytes += extent.size;
+        out.push_back(bytes);
     }
     return out;
 }
@@ -700,7 +680,7 @@ SageDecoder::tryDecodeChunkShared(size_t chunk) const
     // disk reports IoError here instead of killing the process; decode
     // errors on corrupt bytes surface as StatusError from the bit
     // readers and bounds checks in decodeOriented.
-    StatusOr<ChunkBytes> bytes = tryFetchChunkBytes(slice);
+    StatusOr<ChunkBytes> bytes = tryFetchChunkBytes(chunk);
     if (!bytes.ok())
         return bytes.status();
     try {

@@ -79,9 +79,22 @@ struct ArchiveInfo
 class SageDecoder
 {
   public:
+    ~SageDecoder();
+
+    SageDecoder(const SageDecoder &) = delete;
+    SageDecoder &operator=(const SageDecoder &) = delete;
+
     /**
-     * Parse headers through @p source; cheap (the DNA streams are not
-     * read until chunks are decoded). The source must outlive us.
+     * Open an archive over @p source: the only way to construct a
+     * decoder. Cheap: headers, the chunk table and the quality framing
+     * are parsed, while the DNA streams are not read until chunks are
+     * decoded. The source must outlive the decoder. Every framing
+     * field, stream table entry and header stream is bounds-checked,
+     * and a malformed or unreadable archive comes back as a Status
+     * (Truncated/Corrupt/IoError/...) instead of killing the process;
+     * callers that cannot go on without the archive (SageReader,
+     * SageArchiveService's path and source constructors) die at their
+     * own edge, naming the source and the Status.
      *
      * @param dna_only skip the host-side quality/header streams: the
      *        read-mapping pipeline never touches quality scores (paper
@@ -89,30 +102,8 @@ class SageDecoder
      *        mismatches during later variant calling), so the prep
      *        stage feeding an accelerator decodes DNA alone.
      * @param verify_checksum stream the whole archive through CRC32
-     *        before decoding (reads every byte; defeats the streaming
-     *        constructor's laziness, so it is opt-in here).
-     */
-    explicit SageDecoder(const ByteSource &source, bool dna_only = false,
-                         bool verify_checksum = false);
-
-    /**
-     * Legacy whole-buffer constructor: wraps @p archive in a
-     * MemorySource and always verifies the container CRC (any bit flip
-     * is fatal before any read is produced). The archive bytes must
-     * outlive us.
-     */
-    explicit SageDecoder(const std::vector<uint8_t> &archive,
-                         bool dna_only = false);
-    ~SageDecoder();
-
-    /**
-     * Non-fatal open over untrusted bytes: every framing field, stream
-     * table entry and header stream is bounds-checked, and any
-     * malformed or unreadable input comes back as a Status
-     * (Truncated/Corrupt/IoError/...) instead of killing the process.
-     * The serving path (and anything else that must survive a bad
-     * archive) opens through here; the fatal constructors remain the
-     * CLI/batch contract.
+     *        before decoding (reads every byte; defeats the lazy
+     *        open, so it is opt-in).
      */
     static StatusOr<std::unique_ptr<SageDecoder>>
     tryOpen(const ByteSource &source, bool dna_only = false,
@@ -129,6 +120,14 @@ class SageDecoder
 
     /** Stored-order index of chunk @p chunk's first read. */
     uint64_t chunkFirstRead(size_t chunk) const;
+
+    /** Absolute extents in the source of chunk @p chunk's 13 DNA
+     *  stream slices, in ChunkStreamIndex order (format.hh); a v1
+     *  archive's one chunk spans every stream. This is the one place
+     *  the chunk layout is resolved: the chunk fetch reads these
+     *  extents, and SageDevice places chunks on pages by them. */
+    const std::array<StreamExtent, kChunkStreamCount> &
+    chunkExtents(size_t chunk) const;
 
     /** Per-chunk compressed DNA bytes (slice sizes summed across the
      *  13 streams) — the I/O cost of fetching each chunk, used by the
@@ -169,13 +168,14 @@ class SageDecoder
 
     struct ChunkCursor;
 
-    /** Per-chunk slice bounds resolved from the chunk table. */
+    /** One chunk's reads and its slices, resolved from the chunk
+     *  table at open. */
     struct ChunkSlice
     {
         uint64_t readCount = 0;
         uint64_t firstRead = 0;  ///< Prefix sum of readCount.
-        std::array<uint64_t, kChunkStreamCount> offsets{};
-        std::array<uint64_t, kChunkStreamCount> sizes{};
+        /** Absolute slice extents, ChunkStreamIndex order. */
+        std::array<StreamExtent, kChunkStreamCount> extents{};
     };
 
     /** One chunk's 13 stream slices: zero-copy views where the source
@@ -232,10 +232,8 @@ class SageDecoder
     /** tryOpen's blank instance; every member has a safe default. */
     SageDecoder() = default;
 
-    void parseContainer(bool dna_only);
-
-    /** Status-returning core of parseContainer: parses and validates
-     *  untrusted container framing, stream tables and host streams. */
+    /** tryOpen's core: parses and validates untrusted container
+     *  framing, stream tables and host streams. */
     Status tryParseContainer(bool dna_only);
 
     /** Parse the quality stream's framing into quals_.ends and
@@ -244,10 +242,10 @@ class SageDecoder
      *  cannot lend a view of it. */
     Status tryParseQuality(std::vector<uint8_t> &scratch);
 
-    /** Fetch every stream slice of @p slice through the source's
-     *  recoverable read path: views where the source has them, the
-     *  rest copied into one owned buffer by one batched read. */
-    StatusOr<ChunkBytes> tryFetchChunkBytes(const ChunkSlice &slice) const;
+    /** Fetch every stream slice of chunk @p chunk (chunkExtents())
+     *  through the source: views where the source has them, the rest
+     *  copied into one owned buffer by one batched read. */
+    StatusOr<ChunkBytes> tryFetchChunkBytes(size_t chunk) const;
 
     /** Quality blocks [first, end) holding the quality of chunks
      *  [@p first_chunk, @p end_chunk); empty without quality. */
@@ -280,12 +278,8 @@ class SageDecoder
      *  scatters whole-archive decodes through it. */
     const std::vector<uint32_t> &order() const { return order_; }
 
-    /** Owned backing for the legacy vector constructor. */
-    std::unique_ptr<MemorySource> ownedSource_;
     const ByteSource *source_ = nullptr;
     StreamDirectory dir_;
-    /** Absolute extents of the 13 DNA streams, ChunkStreamIndex order. */
-    std::array<StreamExtent, kChunkStreamCount> dnaExtents_{};
 
     ArchiveInfo info_;
     std::string consensus_;

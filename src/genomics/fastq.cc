@@ -26,8 +26,8 @@ toFastq(const ReadSet &rs)
     return out;
 }
 
-ReadSet
-fromFastq(std::string_view text, const std::string &name)
+StatusOr<ReadSet>
+tryFromFastq(std::string_view text, const std::string &name)
 {
     ReadSet rs;
     rs.name = name;
@@ -53,27 +53,32 @@ fromFastq(std::string_view text, const std::string &name)
     while (next_line(header)) {
         if (header.empty())
             continue;
-        if (header[0] != '@')
-            sage_fatal("FASTQ record does not start with '@': ", header);
+        if (header[0] != '@') {
+            return Status::corrupt("FASTQ record does not start with "
+                                   "'@': ", header);
+        }
         if (!next_line(bases) || !next_line(plus) || !next_line(quals))
-            sage_fatal("truncated FASTQ record: ", header);
-        if (plus.empty() || plus[0] != '+')
-            sage_fatal("FASTQ separator line missing '+': ", plus);
+            return Status::corrupt("truncated FASTQ record: ", header);
+        if (plus.empty() || plus[0] != '+') {
+            return Status::corrupt("FASTQ separator line missing '+': ",
+                                   plus, " in record ", header);
+        }
         if (!quals.empty() && quals.size() != bases.size()) {
-            sage_fatal("FASTQ quality length ", quals.size(),
-                       " != base length ", bases.size());
+            return Status::corrupt("FASTQ quality length ", quals.size(),
+                                   " != base length ", bases.size(),
+                                   " in record ", header);
         }
         // Bulk-validate the sequence line (table-driven scan): binary
-        // garbage and control characters die here with the record
-        // named, instead of silently becoming N bases later.
+        // garbage and control characters are rejected here with the
+        // record named, instead of silently becoming N bases later.
         const size_t bad =
             kernels::findInvalidBase(bases.data(), bases.size());
         if (bad < bases.size()) {
-            sage_fatal("FASTQ record ", header, ": invalid base ",
-                       "character (byte value ",
-                       static_cast<unsigned>(
-                           static_cast<uint8_t>(bases[bad])),
-                       ") at position ", bad);
+            return Status::corrupt(
+                "FASTQ record ", header, ": invalid base character ",
+                "(byte value ",
+                static_cast<unsigned>(static_cast<uint8_t>(bases[bad])),
+                ") at position ", bad);
         }
         Read read;
         read.header = std::string(header.substr(1));
@@ -82,6 +87,15 @@ fromFastq(std::string_view text, const std::string &name)
         rs.reads.push_back(std::move(read));
     }
     return rs;
+}
+
+ReadSet
+fromFastq(std::string_view text, const std::string &name)
+{
+    StatusOr<ReadSet> parsed = tryFromFastq(text, name);
+    if (!parsed.ok())
+        sage_fatal(parsed.status().toString());
+    return std::move(parsed.value());
 }
 
 void

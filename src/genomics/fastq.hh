@@ -12,6 +12,7 @@
 #include <string_view>
 
 #include "genomics/read.hh"
+#include "util/status.hh"
 
 namespace sage {
 
@@ -19,17 +20,25 @@ namespace sage {
 std::string toFastq(const ReadSet &rs);
 
 /**
- * Parse FASTQ text into a ReadSet.
+ * Parse untrusted FASTQ text into a ReadSet named @p name.
  *
- * Tolerates '+' comment repetition and missing trailing newline; rejects
- * structurally broken records (mismatched quality length) via sage_fatal.
+ * Tolerates '+' comment repetition, CRLF line ends and a missing
+ * trailing newline. A structurally broken record (no '@', truncated,
+ * no '+' separator, quality length differing from the base count,
+ * a byte that is not a base in the sequence) comes back as Corrupt,
+ * naming the record.
  */
+StatusOr<ReadSet> tryFromFastq(std::string_view text,
+                               const std::string &name = "");
+
+/** tryFromFastq(), fatal (naming the Status) on a broken record. */
 ReadSet fromFastq(std::string_view text, const std::string &name = "");
 
 /** Write a read set to a FASTQ file on disk. */
 void writeFastqFile(const ReadSet &rs, const std::string &path);
 
-/** Read a FASTQ file from disk. */
+/** Read a FASTQ file from disk (fatal on an I/O error or a broken
+ *  record). */
 ReadSet readFastqFile(const std::string &path);
 
 } // namespace sage

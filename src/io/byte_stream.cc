@@ -22,26 +22,30 @@ ByteSource::readAll() const
 }
 
 void
+ByteSource::readAt(uint64_t offset, void *dst, size_t size) const
+{
+    Status status = tryReadAt(offset, dst, size);
+    if (!status.ok())
+        sage_fatal(status.toString());
+}
+
+void
 ByteSource::readBatch(const Extent *extents, size_t count) const
 {
-    for (size_t i = 0; i < count; i++) {
-        if (extents[i].size > 0)
-            readAt(extents[i].offset, extents[i].dst, extents[i].size);
-    }
+    Status status = tryReadBatch(extents, count);
+    if (!status.ok())
+        sage_fatal(status.toString());
 }
 
 Status
-ByteSource::tryReadAt(uint64_t offset, void *dst, size_t size) const
+ByteSource::checkRange(uint64_t offset, size_t size) const
 {
-    if (size == 0)
-        return Status();
     const uint64_t total = this->size();
     if (offset > total || size > total - offset) {
         return Status::outOfRange("read past end of ", describe(), ": [",
                                   offset, ", ", offset + size, ") in ",
                                   total, " bytes");
     }
-    readAt(offset, dst, size);
     return Status();
 }
 
@@ -69,16 +73,15 @@ ByteSource::tryRead(uint64_t offset, size_t size,
     return tryReadAt(offset, out.data(), size);
 }
 
-void
-MemorySource::readAt(uint64_t offset, void *dst, size_t size) const
+Status
+MemorySource::tryReadAt(uint64_t offset, void *dst, size_t size) const
 {
     if (size == 0)
-        return;
-    if (offset > size_ || size > size_ - offset) {
-        sage_fatal("read past end of ", describe(), ": [", offset, ", ",
-                   offset + size, ") in ", size_, " bytes");
-    }
-    std::memcpy(dst, data_ + offset, size);
+        return Status();
+    Status status = checkRange(offset, size);
+    if (status.ok())
+        std::memcpy(dst, data_ + offset, size);
+    return status;
 }
 
 const uint8_t *

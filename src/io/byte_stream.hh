@@ -11,6 +11,12 @@
  * device array (io/striped.hh) — the software analogue of the paper's
  * SAGe_Read/SAGe_Write storage interface (§5.4) and the Fig. 15
  * multi-SSD layout.
+ *
+ * Reads have one channel: a source implements the recoverable
+ * tryReadAt() (and optionally a batched tryReadBatch()), and every
+ * failure comes back as a Status. The fatal readAt()/readBatch() are
+ * base-class wrappers, so a decorator such as FaultInjectionSource
+ * (io/fault_injection.hh) sees every read.
  */
 
 #ifndef SAGE_IO_BYTE_STREAM_HH
@@ -28,8 +34,16 @@ namespace sage {
 /**
  * Random-access read-only byte space.
  *
- * readAt() must be safe to call concurrently from multiple threads:
- * the chunk-parallel decode path issues per-chunk fetches from worker
+ * Every read goes through one channel, tryReadAt() (and its batched
+ * form tryReadBatch()), which returns a Status instead of killing the
+ * process: an archive's bytes are untrusted and a disk can fail, so
+ * the decoder, the service and the network front end degrade per
+ * request. A source implements tryReadAt() alone; readAt() and
+ * readBatch() are fatal wrappers over it for callers that cannot
+ * continue without the bytes.
+ *
+ * Reads must be safe to call concurrently from multiple threads: the
+ * chunk-parallel decode path issues per-chunk fetches from worker
  * threads against one shared source.
  */
 class ByteSource
@@ -41,25 +55,13 @@ class ByteSource
     virtual uint64_t size() const = 0;
 
     /**
-     * Copy @p size bytes starting at @p offset into @p dst.
-     * Fatal (with describe()) on out-of-range reads or I/O errors —
-     * a short read never returns partial data silently.
+     * Copy @p size bytes starting at @p offset into @p dst: OutOfRange
+     * past the end, and the source's own failure (IoError, Truncated,
+     * ...) otherwise. A short read never returns partial data
+     * silently.
      */
-    virtual void readAt(uint64_t offset, void *dst, size_t size) const = 0;
-
-    /**
-     * Zero-copy access: a pointer to @p size contiguous bytes at
-     * @p offset valid for the source's lifetime, or nullptr when the
-     * source cannot provide one (files, cross-stripe spans). Callers
-     * must fall back to readAt().
-     */
-    virtual const uint8_t *
-    view(uint64_t offset, size_t size) const
-    {
-        (void)offset;
-        (void)size;
-        return nullptr;
-    }
+    virtual Status tryReadAt(uint64_t offset, void *dst,
+                             size_t size) const = 0;
 
     /** One extent of a batched read: @p size bytes at @p offset into
      *  @p dst. */
@@ -72,47 +74,57 @@ class ByteSource
 
     /**
      * Read several extents in one call. Semantically identical to
-     * calling readAt() per extent (same fatal-on-error contract, safe
-     * for concurrent callers); sources with a cheaper scatter path
-     * override it — FileSource coalesces near-adjacent extents into
-     * preadv(2) calls, so fetching a chunk's 13 stream slices costs a
-     * couple of syscalls instead of 13. Extents may arrive in any
-     * order and may be empty.
-     */
-    virtual void readBatch(const Extent *extents, size_t count) const;
-
-    /**
-     * Non-fatal flavor of readAt(): returns Status instead of killing
-     * the process, so serving paths can degrade per-request. The
-     * default bounds-checks (OutOfRange past the end) and forwards to
-     * readAt(); sources with real failure modes (FileSource,
-     * StripedSource) override with their own error mapping. Same
-     * thread-safety contract as readAt().
-     */
-    virtual Status tryReadAt(uint64_t offset, void *dst,
-                             size_t size) const;
-
-    /**
-     * Non-fatal flavor of readBatch(): first failing extent's Status
-     * is returned and the remaining extents are left unread (their
-     * buffers are unspecified). Overridden alongside readBatch() by
-     * sources with a scatter path.
+     * calling tryReadAt() per extent, which the default does: the
+     * first failing extent's Status is returned and the remaining
+     * extents are left unread (their buffers are unspecified). Sources
+     * with a cheaper scatter path override it — FileSource coalesces
+     * near-adjacent extents into preadv(2) calls, so fetching a
+     * chunk's 13 stream slices costs a couple of syscalls instead of
+     * 13. Extents may arrive in any order and may be empty.
      */
     virtual Status tryReadBatch(const Extent *extents,
                                 size_t count) const;
 
+    /**
+     * Zero-copy access: a pointer to @p size contiguous bytes at
+     * @p offset valid for the source's lifetime, or nullptr when the
+     * source cannot provide one (files, cross-stripe spans). Callers
+     * must fall back to tryReadAt().
+     */
+    virtual const uint8_t *
+    view(uint64_t offset, size_t size) const
+    {
+        (void)offset;
+        (void)size;
+        return nullptr;
+    }
+
     /** Human-readable identity for error messages (path or kind). */
     virtual std::string describe() const = 0;
 
-    /** Convenience: read a span into a fresh vector. */
+    /** tryReadAt(), fatal on failure (naming the Status). Sources do
+     *  not override it; it stays virtual only for perfbench's
+     *  counting wrapper. */
+    virtual void readAt(uint64_t offset, void *dst, size_t size) const;
+
+    /** tryReadBatch(), fatal on failure (naming the Status); virtual
+     *  for the same reason as readAt(). */
+    virtual void readBatch(const Extent *extents, size_t count) const;
+
+    /** Convenience: read a span into a fresh vector (fatal). */
     std::vector<uint8_t> read(uint64_t offset, size_t size) const;
 
-    /** Convenience: non-fatal read of a span into @p out (resized). */
+    /** Convenience: recoverable read of a span into @p out (resized). */
     Status tryRead(uint64_t offset, size_t size,
                    std::vector<uint8_t> &out) const;
 
-    /** Convenience: read the entire source. */
+    /** Convenience: read the entire source (fatal). */
     std::vector<uint8_t> readAll() const;
+
+  protected:
+    /** OutOfRange (naming describe()) unless [@p offset, @p offset +
+     *  @p size) lies inside the source. */
+    Status checkRange(uint64_t offset, size_t size) const;
 };
 
 /** Append-only byte stream. */
@@ -159,7 +171,8 @@ class MemorySource final : public ByteSource
     {}
 
     uint64_t size() const override { return size_; }
-    void readAt(uint64_t offset, void *dst, size_t size) const override;
+    Status tryReadAt(uint64_t offset, void *dst,
+                     size_t size) const override;
     const uint8_t *view(uint64_t offset, size_t size) const override;
     std::string describe() const override { return "<memory>"; }
 

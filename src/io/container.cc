@@ -1,7 +1,6 @@
 #include "io/container.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "util/crc32.hh"
 #include "util/logging.hh"
@@ -128,15 +127,6 @@ StreamDirectory::tryParse(const ByteSource &source)
     return dir;
 }
 
-StreamDirectory
-StreamDirectory::parse(const ByteSource &source)
-{
-    StatusOr<StreamDirectory> parsed = tryParse(source);
-    if (!parsed.ok())
-        sage_fatal(parsed.status().message());
-    return std::move(parsed.value());
-}
-
 bool
 StreamDirectory::has(const std::string &name) const
 {
@@ -150,14 +140,6 @@ StreamDirectory::extent(const std::string &name) const
     if (it == extents_.end())
         sage_fatal("missing stream: ", name);
     return it->second;
-}
-
-std::vector<uint8_t>
-StreamDirectory::load(const ByteSource &source,
-                      const std::string &name) const
-{
-    const StreamExtent &ext = extent(name);
-    return source.read(ext.offset, static_cast<size_t>(ext.size));
 }
 
 Status
@@ -222,12 +204,6 @@ verifyArchiveChecksumStatus(const ByteSource &source)
                                ", computed ", crc.value());
     }
     return Status();
-}
-
-bool
-verifyArchiveChecksum(const ByteSource &source)
-{
-    return verifyArchiveChecksumStatus(source).ok();
 }
 
 } // namespace sage

@@ -39,29 +39,21 @@ class StreamDirectory
 
     /**
      * Parse the framing from @p source without touching payloads.
-     * Fatal (naming the source) on truncated or malformed framing.
-     */
-    static StreamDirectory parse(const ByteSource &source);
-
-    /**
-     * Non-fatal parse of untrusted framing: every varint, name span,
-     * and payload extent is bounds-checked against the body; a bad
-     * container comes back as Truncated/Corrupt/OutOfRange instead of
-     * killing the process. I/O failures surface as IoError.
+     * Every varint, name span, and payload extent of the untrusted
+     * framing is bounds-checked against the body; a bad container
+     * comes back as Truncated/Corrupt/OutOfRange, and an I/O failure
+     * as the source's read status.
      */
     static StatusOr<StreamDirectory> tryParse(const ByteSource &source);
 
     bool has(const std::string &name) const;
 
-    /** Extent of stream @p name; fatal when missing. */
+    /** Extent of stream @p name; fatal when missing (check has()). */
     const StreamExtent &extent(const std::string &name) const;
 
-    /** Load one stream's payload through @p source. */
-    std::vector<uint8_t> load(const ByteSource &source,
-                              const std::string &name) const;
-
-    /** Non-fatal load: Corrupt when the stream is missing, else the
-     *  source's tryRead status. */
+    /** Load one stream's payload through @p source into @p out:
+     *  Corrupt when the stream is missing, else the source's tryRead
+     *  status. */
     Status tryLoad(const ByteSource &source, const std::string &name,
                    std::vector<uint8_t> &out) const;
 
@@ -83,12 +75,7 @@ class StreamDirectory
  * Stream the archive body through CRC32 in fixed blocks and compare
  * with the trailer. Reads the whole source (sequentially, without
  * holding it resident); callers on a streaming path usually skip this
- * and rely on per-read validation instead.
- */
-bool verifyArchiveChecksum(const ByteSource &source);
-
-/**
- * Status flavor of verifyArchiveChecksum: Ok when the trailer
+ * and rely on per-read validation instead. Ok when the trailer
  * matches, Corrupt (with both CRC values) when it does not,
  * Truncated when the source cannot even hold a trailer, and the
  * underlying read status on I/O failure.

@@ -31,24 +31,11 @@ FaultInjectionSource::FaultInjectionSource(const ByteSource &inner,
     : inner_(inner), config_(config)
 {}
 
-void
-FaultInjectionSource::readAt(uint64_t offset, void *dst,
-                             size_t size) const
-{
-    inner_.readAt(offset, dst, size);
-}
-
-void
-FaultInjectionSource::readBatch(const Extent *extents, size_t count) const
-{
-    inner_.readBatch(extents, count);
-}
-
 const uint8_t *
 FaultInjectionSource::view(uint64_t offset, size_t size) const
 {
     // A view would bypass injection entirely; force callers through
-    // the copying paths so the schedule sees every recoverable read.
+    // the copying path so the schedule sees every read.
     (void)offset;
     (void)size;
     return nullptr;

@@ -1,18 +1,17 @@
 /**
  * @file
- * Deterministic fault injection for the recoverable I/O path.
+ * Deterministic fault injection for ByteSource reads.
  *
- * FaultInjectionSource wraps any ByteSource and perturbs its
- * *recoverable* reads (tryReadAt / tryReadBatch) on a seeded,
- * reproducible schedule: hard I/O errors, short reads, silent
- * bit-flips, and added latency. Every decode reads through that path:
- * archive open, the service's chunk decodes, and SageReader's restore
- * and prep loops (CLI decompress, decodeAll, decodeAllPacked, next),
- * which turn a failed chunk into a fatal exit naming the error. The
- * fatal entry points (readAt, readBatch) pass through uninjected —
- * they are the "I cannot continue without these bytes" contract of
- * whole-stream helpers such as StreamDirectory::load, and injecting
- * there would just abort the process under test.
+ * FaultInjectionSource wraps any ByteSource and perturbs its reads on
+ * a seeded, reproducible schedule: hard I/O errors, short reads,
+ * silent bit-flips, and added latency. A ByteSource has one read
+ * channel, tryReadAt(), so the schedule covers every read: archive
+ * open, the service's chunk decodes, SageReader's restore and prep
+ * loops (CLI decompress, decodeAll, decodeAllPacked, next), and the
+ * fatal readAt()/readBatch() wrappers, which die naming the injected
+ * fault. Batches are injected per extent (the base-class loop over
+ * tryReadAt()), and views are refused so no caller bypasses the
+ * schedule.
  *
  * The decision for operation k depends only on (seed, k), so a given
  * schedule always injects the same multiset of faults regardless of
@@ -33,23 +32,23 @@ namespace sage {
 struct FaultConfig
 {
     uint64_t seed = 1;          ///< Schedule seed (same seed = same faults).
-    uint32_t failEveryN = 0;    ///< Hard-fail every Nth try-read (0 = off).
-    double ioErrorRate = 0.0;   ///< P(hard IoError) per try-read.
-    double shortReadRate = 0.0; ///< P(truncated read) per try-read.
-    double bitFlipRate = 0.0;   ///< P(one silently flipped bit) per try-read.
-    uint32_t latencyMicros = 0; ///< Added latency per try-read (0 = off).
+    uint32_t failEveryN = 0;    ///< Hard-fail every Nth read (0 = off).
+    double ioErrorRate = 0.0;   ///< P(hard IoError) per read.
+    double shortReadRate = 0.0; ///< P(truncated read) per read.
+    double bitFlipRate = 0.0;   ///< P(one silently flipped bit) per read.
+    uint32_t latencyMicros = 0; ///< Added latency per read (0 = off).
 };
 
 /** Counts of injected faults, by kind. */
 struct FaultCounters
 {
-    uint64_t operations = 0; ///< try-reads that reached the injector.
+    uint64_t operations = 0; ///< Reads that reached the injector.
     uint64_t ioErrors = 0;   ///< Hard failures injected (IoError).
     uint64_t shortReads = 0; ///< Truncated reads injected.
     uint64_t bitFlips = 0;   ///< Silent single-bit corruptions injected.
 };
 
-/** ByteSource decorator injecting faults into the recoverable path. */
+/** ByteSource decorator injecting faults into every read. */
 class FaultInjectionSource final : public ByteSource
 {
   public:
@@ -58,12 +57,7 @@ class FaultInjectionSource final : public ByteSource
 
     uint64_t size() const override { return inner_.size(); }
 
-    /** Fatal path: passes through uninjected. */
-    void readAt(uint64_t offset, void *dst, size_t size) const override;
-    void readBatch(const Extent *extents, size_t count) const override;
-
-    /** Recoverable path: subject to the fault schedule. Batches are
-     *  injected per extent (base-class loop over tryReadAt). */
+    /** Subject to the fault schedule. */
     Status tryReadAt(uint64_t offset, void *dst,
                      size_t size) const override;
 
@@ -73,7 +67,7 @@ class FaultInjectionSource final : public ByteSource
     /** Snapshot of injected-fault counts so far. */
     FaultCounters counters() const;
 
-    /** Master switch. Disarm to pass try-reads through untouched —
+    /** Master switch. Disarm to pass reads through untouched —
      *  e.g. while opening the archive, so setup I/O cannot trip the
      *  schedule — then re-arm for the workload under test. Disarmed
      *  operations are neither perturbed nor counted. */

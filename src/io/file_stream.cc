@@ -31,30 +31,19 @@ constexpr unsigned kTransientRetryBudget = 8;
 constexpr unsigned kBackoffStartMicros = 50;
 constexpr unsigned kBackoffCapMicros = 1000;
 
-} // namespace
-
-FileSource::FileSource(const std::string &path)
-    : path_(path)
+/** A descriptor opened for reading and its file's size. */
+struct OpenedFile
 {
-    fd_ = ::open(path.c_str(), O_RDONLY);
-    if (fd_ < 0)
-        sage_fatal("cannot open ", path, " for reading: ", errnoText());
-    struct stat st;
-    if (::fstat(fd_, &st) != 0)
-        sage_fatal("cannot stat ", path, ": ", errnoText());
-    size_ = static_cast<uint64_t>(st.st_size);
-}
+    int fd = -1;
+    uint64_t size = 0;
+};
 
-FileSource::~FileSource()
+/** Open @p path for reading: IoError (naming the path and errno) when
+ *  it cannot be opened or stat'ed, or is not a regular file. */
+StatusOr<OpenedFile>
+openRegularFile(const std::string &path)
 {
-    if (fd_ >= 0)
-        ::close(fd_);
-}
-
-StatusOr<std::unique_ptr<FileSource>>
-FileSource::tryOpen(const std::string &path)
-{
-    int fd = ::open(path.c_str(), O_RDONLY);
+    const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) {
         return Status::ioError("cannot open ", path,
                                " for reading: ", errnoText());
@@ -70,8 +59,35 @@ FileSource::tryOpen(const std::string &path)
         ::close(fd);
         return Status::ioError(path, " is not a regular file");
     }
-    return std::unique_ptr<FileSource>(new FileSource(
-        fd, path, static_cast<uint64_t>(st.st_size)));
+    return OpenedFile{fd, static_cast<uint64_t>(st.st_size)};
+}
+
+} // namespace
+
+FileSource::FileSource(const std::string &path)
+    : path_(path)
+{
+    StatusOr<OpenedFile> opened = openRegularFile(path);
+    if (!opened.ok())
+        sage_fatal(opened.status().toString());
+    fd_ = opened->fd;
+    size_ = opened->size;
+}
+
+FileSource::~FileSource()
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+}
+
+StatusOr<std::unique_ptr<FileSource>>
+FileSource::tryOpen(const std::string &path)
+{
+    StatusOr<OpenedFile> opened = openRegularFile(path);
+    if (!opened.ok())
+        return opened.status();
+    return std::unique_ptr<FileSource>(
+        new FileSource(opened->fd, path, opened->size));
 }
 
 Status
@@ -168,23 +184,6 @@ FileSource::tryPreadvExact(uint64_t offset, struct iovec *iov,
     return Status();
 }
 
-void
-FileSource::preadExact(uint64_t offset, void *dst, size_t size) const
-{
-    Status status = tryPreadExact(offset, dst, size);
-    if (!status.ok())
-        sage_fatal(status.message());
-}
-
-void
-FileSource::preadvExact(uint64_t offset, struct iovec *iov,
-                        size_t count) const
-{
-    Status status = tryPreadvExact(offset, iov, count);
-    if (!status.ok())
-        sage_fatal(status.message());
-}
-
 Status
 FileSource::tryReadBatch(const Extent *extents, size_t count) const
 {
@@ -201,11 +200,9 @@ FileSource::tryReadBatch(const Extent *extents, size_t count) const
         const Extent &e = extents[i];
         if (e.size == 0)
             continue;
-        if (e.offset > size_ || e.size > size_ - e.offset) {
-            return Status::outOfRange("read past end of ", path_, ": [",
-                                      e.offset, ", ", e.offset + e.size,
-                                      ") in ", size_, " bytes");
-        }
+        Status status = checkRange(e.offset, e.size);
+        if (!status.ok())
+            return status;
         order.push_back(i);
     }
     std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -255,24 +252,14 @@ FileSource::tryReadBatch(const Extent *extents, size_t count) const
     return Status();
 }
 
-void
-FileSource::readBatch(const Extent *extents, size_t count) const
-{
-    Status status = tryReadBatch(extents, count);
-    if (!status.ok())
-        sage_fatal(status.message());
-}
-
 Status
 FileSource::tryReadAt(uint64_t offset, void *dst, size_t size) const
 {
     if (size == 0)
         return Status();
-    if (offset > size_ || size > size_ - offset) {
-        return Status::outOfRange("read past end of ", path_, ": [",
-                                  offset, ", ", offset + size, ") in ",
-                                  size_, " bytes");
-    }
+    Status status = checkRange(offset, size);
+    if (!status.ok())
+        return status;
 
     // Everything but tiny directory reads bypasses the cache; pread
     // is thread-safe, so concurrent chunk fetches never contend here.
@@ -285,8 +272,7 @@ FileSource::tryReadAt(uint64_t offset, void *dst, size_t size) const
     if (!hit) {
         std::vector<uint8_t> window(static_cast<size_t>(
             std::min<uint64_t>(kCacheBytes, size_ - offset)));
-        Status status = tryPreadExact(offset, window.data(),
-                                      window.size());
+        status = tryPreadExact(offset, window.data(), window.size());
         if (!status.ok()) {
             // Leave the old window intact: a failed fill must not
             // poison later reads with stale mappings.
@@ -297,14 +283,6 @@ FileSource::tryReadAt(uint64_t offset, void *dst, size_t size) const
     }
     std::memcpy(dst, cache_.data() + (offset - cacheOffset_), size);
     return Status();
-}
-
-void
-FileSource::readAt(uint64_t offset, void *dst, size_t size) const
-{
-    Status status = tryReadAt(offset, dst, size);
-    if (!status.ok())
-        sage_fatal(status.message());
 }
 
 FileSink::FileSink(const std::string &path)

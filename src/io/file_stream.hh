@@ -5,10 +5,12 @@
  * FileSource serves random-access reads via pread(2), so a shared
  * source is safe for the chunk-parallel decode path (no shared file
  * offset); a small read-ahead cache keeps the many tiny sequential
- * reads of container-directory parsing cheap. FileSink buffers writes
- * in user space and flushes in large spans. Every failure path is
- * fatal with the offending path in the message — no silent short
- * reads or writes.
+ * reads of container-directory parsing cheap. Every read failure comes
+ * back as a Status naming the path (ByteSource's one read channel);
+ * only the path constructor and the base class's readAt()/readBatch()
+ * wrappers die on one. FileSink buffers writes in user space and
+ * flushes in large spans; its failures are fatal with the path in the
+ * message. Neither side ever short-reads or short-writes silently.
  */
 
 #ifndef SAGE_IO_FILE_STREAM_HH
@@ -28,7 +30,8 @@ namespace sage {
 class FileSource final : public ByteSource
 {
   public:
-    /** Open @p path; fatal (naming the path) when it cannot be read. */
+    /** Open @p path as tryOpen() does; fatal (naming the path) where
+     *  tryOpen() returns an error. */
     explicit FileSource(const std::string &path);
     ~FileSource() override;
 
@@ -43,7 +46,17 @@ class FileSource final : public ByteSource
     FileSource &operator=(const FileSource &) = delete;
 
     uint64_t size() const override { return size_; }
-    void readAt(uint64_t offset, void *dst, size_t size) const override;
+
+    /**
+     * OutOfRange past the end, Truncated when the file ends mid-read,
+     * IoError on syscall failure, Exhausted when the transient-error
+     * retry budget runs out. EINTR is retried immediately and
+     * EAGAIN/EWOULDBLOCK with bounded exponential backoff (counted in
+     * transientRetries()) before giving up.
+     */
+    Status tryReadAt(uint64_t offset, void *dst,
+                     size_t size) const override;
+
     /**
      * Scatter read via preadv(2): extents are sorted by offset and
      * runs whose inter-extent gaps stay below a skip threshold
@@ -51,18 +64,8 @@ class FileSource final : public ByteSource
      * iovec), so fetching a chunk's 13 stream slices costs a few
      * syscalls instead of 13 preads when the slices sit near each
      * other in the container. Distant extents get their own preadv.
+     * Same errors as tryReadAt().
      */
-    void readBatch(const Extent *extents, size_t count) const override;
-
-    /**
-     * Non-fatal reads: OutOfRange past the end, Truncated when the
-     * file ends mid-read, IoError on syscall failure, Exhausted when
-     * the transient-error retry budget runs out. EINTR is retried
-     * immediately and EAGAIN/EWOULDBLOCK with bounded exponential
-     * backoff (counted in transientRetries()) before giving up.
-     */
-    Status tryReadAt(uint64_t offset, void *dst,
-                     size_t size) const override;
     Status tryReadBatch(const Extent *extents,
                         size_t count) const override;
 
@@ -93,19 +96,14 @@ class FileSource final : public ByteSource
     static constexpr size_t kCacheBytes = 64 * 1024;
 
     /** pread loop directly into @p dst (no cache). */
-    void preadExact(uint64_t offset, void *dst, size_t size) const;
+    Status tryPreadExact(uint64_t offset, void *dst, size_t size) const;
 
     /** preadv loop filling @p iov completely (mutates the iovecs to
      *  track partial progress). */
-    void preadvExact(uint64_t offset, struct iovec *iov,
-                     size_t count) const;
-
-    /** Status-returning cores the fatal loops above wrap. */
-    Status tryPreadExact(uint64_t offset, void *dst, size_t size) const;
     Status tryPreadvExact(uint64_t offset, struct iovec *iov,
                           size_t count) const;
 
-    /** Shared errno handling for the two cores: decide whether to
+    /** Shared errno handling for the two loops: decide whether to
      *  retry (returns Ok after sleeping) or give up (non-Ok). */
     Status classifyReadError(int err, uint64_t offset,
                              unsigned &transient_left) const;

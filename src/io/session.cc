@@ -83,19 +83,32 @@ SageWriter::finish(std::string_view consensus, ThreadPool *pool)
     return stats;
 }
 
+namespace {
+
+/** SageReader's edge: open through SageDecoder::tryOpen, or die naming
+ *  the source and the Status. */
+std::unique_ptr<const SageDecoder>
+openOrDie(const ByteSource &source, const SageReaderOptions &options)
+{
+    StatusOr<std::unique_ptr<SageDecoder>> opened = SageDecoder::tryOpen(
+        source, options.dnaOnly, options.verifyChecksum);
+    if (!opened.ok())
+        sage_fatal(source.describe(), ": ", opened.status().toString());
+    return std::move(opened.value());
+}
+
+} // namespace
+
 SageReader::SageReader(const ByteSource &source,
                        SageReaderOptions options)
-    : source_(&source),
-      decoder_(std::make_unique<SageDecoder>(source, options.dnaOnly,
-                                             options.verifyChecksum))
+    : source_(&source), decoder_(openOrDie(source, options))
 {
     enablePrefetch(options);
 }
 
 SageReader::SageReader(const std::string &path, SageReaderOptions options)
     : file_(std::make_unique<FileSource>(path)), source_(file_.get()),
-      decoder_(std::make_unique<SageDecoder>(*file_, options.dnaOnly,
-                                             options.verifyChecksum))
+      decoder_(openOrDie(*file_, options))
 {
     enablePrefetch(options);
 }

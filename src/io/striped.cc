@@ -70,18 +70,16 @@ StripedSource::tryReadAt(uint64_t offset, void *dst, size_t size) const
 {
     if (size == 0)
         return Status();
-    if (offset > size_ || size > size_ - offset) {
-        return Status::outOfRange("read past end of ", describe(), ": [",
-                                  offset, ", ", offset + size, ") in ",
-                                  size_, " bytes");
-    }
+    Status status = checkRange(offset, size);
+    if (!status.ok())
+        return status;
     uint8_t *out = static_cast<uint8_t *>(dst);
     while (size > 0) {
         const Location loc = locate(offset);
         const size_t span = static_cast<size_t>(
             std::min<uint64_t>(size, loc.bytesLeftInStripe));
-        Status status = stripes_[loc.stripe]->tryReadAt(loc.localOffset,
-                                                        out, span);
+        status = stripes_[loc.stripe]->tryReadAt(loc.localOffset, out,
+                                                 span);
         if (!status.ok())
             return status;
         out += span;
@@ -89,14 +87,6 @@ StripedSource::tryReadAt(uint64_t offset, void *dst, size_t size) const
         size -= span;
     }
     return Status();
-}
-
-void
-StripedSource::readAt(uint64_t offset, void *dst, size_t size) const
-{
-    Status status = tryReadAt(offset, dst, size);
-    if (!status.ok())
-        sage_fatal(status.message());
 }
 
 const uint8_t *

@@ -32,9 +32,8 @@ class StripedSource final : public ByteSource
                   uint64_t stripe_bytes);
 
     uint64_t size() const override { return size_; }
-    void readAt(uint64_t offset, void *dst, size_t size) const override;
-    /** Non-fatal readAt: forwards each stripe span through the backing
-     *  source's tryReadAt, so a failing shard degrades per-request. */
+    /** Forwards each stripe span through the backing source's
+     *  tryReadAt, so a failing shard degrades per-request. */
     Status tryReadAt(uint64_t offset, void *dst,
                      size_t size) const override;
     const uint8_t *view(uint64_t offset, size_t size) const override;

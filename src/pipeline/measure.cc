@@ -116,7 +116,12 @@ measureWorkload(const SimulatedDataset &ds, const MeasureConfig &config)
     art.sageDnaBytes = sage.dnaBytes;
     art.sageQualBytes = sage.qualityBytes;
     {
-        SageDecoder info_probe(sage.bytes);
+        const MemorySource archive(sage.bytes);
+        StatusOr<std::unique_ptr<SageDecoder>> opened = SageDecoder::tryOpen(
+            archive, /*dna_only=*/false, /*verify_checksum=*/true);
+        if (!opened.ok())
+            sage_fatal("SAGe archive: ", opened.status().toString());
+        const SageDecoder &info_probe = *opened.value();
         art.work.sageDnaStreamBytes = info_probe.info().dnaStreamBytes();
         art.sageWorkingSetBytes = info_probe.workingSetBytes();
         // Per-chunk fetch costs let the pipeline model overlap chunk

@@ -45,9 +45,25 @@ materialize(const SpanResult &result)
 // Construction / teardown
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** The source and path constructors' edge: open through
+ *  SageDecoder::tryOpen, or die naming the source and the Status. */
+std::unique_ptr<SageDecoder>
+openOrDie(const ByteSource &source, bool dna_only)
+{
+    StatusOr<std::unique_ptr<SageDecoder>> opened =
+        SageDecoder::tryOpen(source, dna_only);
+    if (!opened.ok())
+        sage_fatal(source.describe(), ": ", opened.status().toString());
+    return std::move(opened.value());
+}
+
+} // namespace
+
 SageArchiveService::SageArchiveService(const ByteSource &source,
                                        ServiceOptions options)
-    : decoder_(std::make_unique<SageDecoder>(source, options.dnaOnly)),
+    : decoder_(openOrDie(source, options.dnaOnly)),
       options_(options),
       pool_(options.pool),
       cache_(options.cacheBudgetBytes, options.cacheShards)
@@ -58,7 +74,7 @@ SageArchiveService::SageArchiveService(const ByteSource &source,
 SageArchiveService::SageArchiveService(const std::string &path,
                                        ServiceOptions options)
     : file_(std::make_unique<FileSource>(path)),
-      decoder_(std::make_unique<SageDecoder>(*file_, options.dnaOnly)),
+      decoder_(openOrDie(*file_, options.dnaOnly)),
       options_(options),
       pool_(options.pool),
       cache_(options.cacheBudgetBytes, options.cacheShards)

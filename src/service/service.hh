@@ -265,11 +265,14 @@ class ServiceSession
 class SageArchiveService
 {
   public:
-    /** Serve @p source (must outlive the service). */
+    /** Serve @p source (must outlive the service). Opens through
+     *  SageDecoder::tryOpen(); fatal, naming the source and the
+     *  Status, when the archive does not open. */
     explicit SageArchiveService(const ByteSource &source,
                                 ServiceOptions options = {});
 
-    /** Serve a file (owned FileSource; fatal naming the path). */
+    /** Serve a file (owned FileSource), as the source constructor
+     *  does; fatal naming the path. */
     explicit SageArchiveService(const std::string &path,
                                 ServiceOptions options = {});
 

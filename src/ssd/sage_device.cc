@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "io/container.hh"
+#include "core/decoder.hh"
 #include "io/session.hh"
 #include "util/logging.hh"
 
@@ -96,47 +96,29 @@ SageDevice::sageChunkExtents(const std::string &name) const
     sage_assert(file.genomic, "chunk extents of a non-genomic file: ",
                 name);
 
+    // The decoder owns the chunk layout (the chunk table for v2, one
+    // chunk spanning every stream for v1); a DNA-only open parses it
+    // without touching the host streams.
     const MemorySource source(file.data);
-    const StreamDirectory dir = StreamDirectory::parse(source);
-    const SageParams params =
-        SageParams::deserialize(dir.load(source, "params"));
-
-    // DNA stream extents in ChunkStreamIndex order (docs/format.md).
-    std::array<StreamExtent, kChunkStreamCount> extents;
-    for (unsigned s = 0; s < kChunkStreamCount; s++)
-        extents[s] = dir.extent(kChunkStreamNames[s]);
-
-    // Per-chunk slice offsets: the chunk table for v2, one chunk
-    // spanning every stream for v1.
-    std::vector<std::array<uint64_t, kChunkStreamCount>> offsets;
-    if (params.version >= kFormatVersionChunked) {
-        const ChunkTable table =
-            ChunkTable::deserialize(dir.load(source, "chunks"));
-        for (const ChunkTable::Entry &entry : table.entries)
-            offsets.push_back(entry.offsets);
-    } else {
-        offsets.emplace_back();
-    }
+    StatusOr<std::unique_ptr<SageDecoder>> opened =
+        SageDecoder::tryOpen(source, /*dna_only=*/true);
+    if (!opened.ok())
+        sage_fatal(name, ": ", opened.status().toString());
+    const SageDecoder &decoder = *opened.value();
 
     const uint32_t page = model_.config().pageBytes;
     std::vector<SageChunkExtent> out;
-    out.reserve(offsets.size());
-    for (size_t c = 0; c < offsets.size(); c++) {
+    out.reserve(decoder.chunkCount());
+    for (size_t c = 0; c < decoder.chunkCount(); c++) {
         SageChunkExtent extent;
         uint64_t min_byte = UINT64_MAX;
         uint64_t max_byte = 0;
-        for (unsigned s = 0; s < kChunkStreamCount; s++) {
-            const uint64_t begin =
-                extents[s].offset + offsets[c][s];
-            const uint64_t end = c + 1 < offsets.size()
-                ? extents[s].offset + offsets[c + 1][s]
-                : extents[s].offset + extents[s].size;
-            sage_assert(begin <= end, "chunk offsets out of order");
-            if (begin == end)
+        for (const StreamExtent &slice : decoder.chunkExtents(c)) {
+            if (slice.size == 0)
                 continue;
-            extent.bytes += end - begin;
-            min_byte = std::min(min_byte, begin);
-            max_byte = std::max(max_byte, end);
+            extent.bytes += slice.size;
+            min_byte = std::min(min_byte, slice.offset);
+            max_byte = std::max(max_byte, slice.offset + slice.size);
         }
         if (extent.bytes > 0) {
             const uint64_t first_page = min_byte / page;

@@ -92,8 +92,10 @@ class SageDevice
 
     /**
      * Per-chunk placement of a stored archive (v1 archives report one
-     * chunk spanning the file). Parses the chunk table in place on the
-     * device — the host never sees the archive bytes.
+     * chunk spanning the file). Opens the archive DNA-only in place on
+     * the device — the host never sees the archive bytes — and reads
+     * the decoder's chunk extents. Fatal (naming the file and the
+     * Status) when the archive does not open.
      */
     std::vector<SageChunkExtent>
     sageChunkExtents(const std::string &name) const;

@@ -9,6 +9,7 @@
 
 #include "accel/genstore.hh"
 #include "accel/mappers.hh"
+#include "compress/streams.hh"
 #include "dram/dram.hh"
 #include "hw/sage_hw.hh"
 #include "pipeline/pipeline.hh"
@@ -249,7 +250,11 @@ TEST(SageDevice, ChunkExtentsCoverEveryChunk)
     device.sageWrite("rs", archive);
     const auto extents = device.sageChunkExtents("rs");
 
-    SageDecoder decoder(archive.bytes, /*dna_only=*/true);
+    const MemorySource source(archive.bytes);
+    const StatusOr<std::unique_ptr<SageDecoder>> opened =
+        SageDecoder::tryOpen(source, /*dna_only=*/true);
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    const SageDecoder &decoder = **opened;
     ASSERT_EQ(extents.size(), decoder.chunkCount());
     const auto chunk_bytes = decoder.chunkCompressedBytes();
 
@@ -289,6 +294,22 @@ TEST(SageDevice, V1ArchiveReportsOneExtent)
     ASSERT_EQ(extents.size(), 1u);
     EXPECT_GT(extents[0].bytes, 0u);
     EXPECT_GT(extents[0].lpnCount, 0u);
+}
+
+TEST(SageDevice, ChunkExtentsOfACorruptArchiveExitNamingTheStatus)
+{
+    const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
+    const SageArchive archive = sageCompress(ds.readSet, ds.reference);
+    // A well-framed archive (valid CRC) whose params claim version 7.
+    StreamBundle bundle = StreamBundle::deserialize(archive.bytes);
+    ASSERT_FALSE(bundle.stream("params").empty());
+    bundle.stream("params")[0] = 7;
+
+    SageDevice device;
+    device.sageWriteShard("rs", bundle.serialize());
+    EXPECT_EXIT({ (void)device.sageChunkExtents("rs"); },
+                ::testing::ExitedWithCode(1),
+                "unsupported SAGe container version 7");
 }
 
 // ---------------------------------------------------------------------

@@ -267,6 +267,38 @@ TEST(FastqEdge, RejectsMalformedRecords)
                 ::testing::ExitedWithCode(1), ".*");
 }
 
+TEST(FastqEdge, MalformedRecordsAreCorruptNamingTheRecord)
+{
+    struct Case
+    {
+        const char *text;
+        const char *message;
+    };
+    const Case cases[] = {
+        {"not-a-record\nACGT\n+\n!!\n", "does not start with '@'"},
+        {"@r\nACGT\n", "truncated FASTQ record: @r"},
+        {"@r\nACGT\n-\n!!!!\n", "missing '+': - in record @r"},
+        {"@r\nACGT\n+\n!!!\n", "3 != base length 4 in record @r"},
+        {"@r\nAC\x01G\n+\nIIII\n", "FASTQ record @r: invalid base"},
+    };
+    for (const Case &c : cases) {
+        const StatusOr<ReadSet> parsed = tryFromFastq(c.text, "in");
+        ASSERT_FALSE(parsed.ok()) << c.text;
+        EXPECT_EQ(parsed.status().code(), StatusCode::Corrupt) << c.text;
+        EXPECT_NE(parsed.status().message().find(c.message),
+                  std::string::npos)
+            << parsed.status().toString();
+    }
+
+    const StatusOr<ReadSet> good =
+        tryFromFastq("@r1\nACGT\n+\nIIII\n@r2\nTT\n+\n\n", "in");
+    ASSERT_TRUE(good.ok()) << good.status().toString();
+    EXPECT_EQ(good->name, "in");
+    ASSERT_EQ(good->reads.size(), 2u);
+    EXPECT_EQ(good->reads[1].bases, "TT");
+    EXPECT_TRUE(good->reads[1].quals.empty());
+}
+
 TEST(FastqEdge, ToleratesMissingTrailingNewline)
 {
     const ReadSet rs = fromFastq("@r\nACGT\n+\nIIII");

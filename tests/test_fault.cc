@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -44,10 +43,6 @@ class FlakySource final : public ByteSource
     void setFailures(int n) { failuresLeft_.store(n); }
 
     uint64_t size() const override { return inner_.size(); }
-    void readAt(uint64_t offset, void *dst, size_t size) const override
-    {
-        inner_.readAt(offset, dst, size);
-    }
     const uint8_t *view(uint64_t, size_t) const override
     {
         return nullptr; // Force the try-read path.
@@ -76,6 +71,17 @@ makeArchiveBytes(unsigned chunk_reads = 512)
     config.chunkReads = chunk_reads;
     SageArchive archive = sageCompress(ds.readSet, ds.reference, config);
     return std::move(archive.bytes);
+}
+
+/** The stream directory of archive @p bytes; the test fails (and
+ *  gets an empty directory) when it does not parse. */
+StreamDirectory
+directoryOf(const std::vector<uint8_t> &bytes)
+{
+    StatusOr<StreamDirectory> parsed =
+        StreamDirectory::tryParse(MemorySource(bytes));
+    EXPECT_TRUE(parsed.ok()) << parsed.status().toString();
+    return parsed.ok() ? std::move(parsed.value()) : StreamDirectory{};
 }
 
 // ---------------------------------------------------------------------
@@ -120,19 +126,18 @@ TEST(FaultInjection, SameSeedSameSchedule)
     EXPECT_GT(a.counters().bitFlips, 0u);
 }
 
-TEST(FaultInjection, FatalPathPassesThroughUninjected)
+TEST(FaultInjection, FatalPathIsInjectedToo)
 {
     std::vector<uint8_t> bytes(4096, 0xA5);
     const MemorySource inner(bytes);
     FaultConfig config;
-    config.failEveryN = 1; // Every recoverable read fails ...
+    config.failEveryN = 1; // Every read fails ...
     const FaultInjectionSource source(inner, config);
 
-    // ... yet the fatal path delivers clean bytes,
+    // ... the fatal wrapper included, which dies naming the fault,
     std::vector<uint8_t> dst(64, 0);
-    source.readAt(128, dst.data(), dst.size());
-    EXPECT_EQ(std::memcmp(dst.data(), bytes.data() + 128, dst.size()),
-              0);
+    EXPECT_EXIT({ source.readAt(128, dst.data(), dst.size()); },
+                ::testing::ExitedWithCode(1), "injected I/O error");
 
     // views are refused (so no caller can bypass the schedule),
     EXPECT_EQ(source.view(0, 16), nullptr);
@@ -207,8 +212,7 @@ TEST(FaultInjection, ShortReadReportsTruncated)
 TEST(CorruptArchive, TruncationAtEveryFramingBoundaryIsRecoverable)
 {
     const std::vector<uint8_t> bytes = makeArchiveBytes();
-    const MemorySource whole(bytes);
-    const StreamDirectory dir = StreamDirectory::parse(whole);
+    const StreamDirectory dir = directoryOf(bytes);
 
     // Candidate cut points: the head of the container, every stream's
     // framing edges (just before the name, mid-payload, end of
@@ -243,8 +247,7 @@ TEST(CorruptArchive, TruncationAtEveryFramingBoundaryIsRecoverable)
 TEST(CorruptArchive, ChecksumVerificationCatchesEveryStreamBitFlip)
 {
     const std::vector<uint8_t> bytes = makeArchiveBytes();
-    const StreamDirectory dir =
-        StreamDirectory::parse(MemorySource(bytes));
+    const StreamDirectory dir = directoryOf(bytes);
 
     for (const auto &[name, extent] : dir.extents()) {
         if (extent.size == 0)
@@ -263,8 +266,7 @@ TEST(CorruptArchive, ChecksumVerificationCatchesEveryStreamBitFlip)
 TEST(CorruptArchive, BitFlippedStreamsNeverCrashTheDecoder)
 {
     const std::vector<uint8_t> bytes = makeArchiveBytes();
-    const StreamDirectory dir =
-        StreamDirectory::parse(MemorySource(bytes));
+    const StreamDirectory dir = directoryOf(bytes);
 
     // Without checksum verification the flip reaches the parser and
     // the per-chunk decoder. Either may reject it with a Status (or,
@@ -301,8 +303,7 @@ TEST(CorruptArchive, OrderStreamMustMapEveryRead)
     std::vector<uint8_t> bytes =
         sageCompress(ds.readSet, ds.reference, config).bytes;
     ASSERT_GT(ds.readSet.reads.size(), 128u);
-    const StreamExtent order =
-        StreamDirectory::parse(MemorySource(bytes)).extent("order");
+    const StreamExtent order = directoryOf(bytes).extent("order");
 
     // Every byte becomes a one-byte entry: fewer entries than reads,
     // so some read would have no slot in the restored order.

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <tuple>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "compress/streams.hh"
 #include "io/byte_stream.hh"
@@ -218,6 +222,20 @@ TEST(FileStream, MissingFileDiesWithPath)
                 ::testing::ExitedWithCode(1), "sage-no-such.bin");
 }
 
+TEST(FileStream, DirectoryIsNotARegularFile)
+{
+    const std::string dir = scratchPath("not_a_file.d");
+    ASSERT_TRUE(::mkdir(dir.c_str(), 0755) == 0 || errno == EEXIST);
+    // The path constructor opens through tryOpen's checks.
+    EXPECT_EXIT({ FileSource source(dir); },
+                ::testing::ExitedWithCode(1), "is not a regular file");
+    const StatusOr<std::unique_ptr<FileSource>> opened =
+        FileSource::tryOpen(dir);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::IoError);
+    ::rmdir(dir.c_str());
+}
+
 TEST(FileStream, ReadPastEndDiesWithPath)
 {
     const std::string path = scratchPath("short.bin");
@@ -353,13 +371,21 @@ TEST(StreamDirectory, ExtentsMatchSerializedBundle)
     const std::vector<uint8_t> bytes = bundle.serialize();
     MemorySource source(bytes);
 
-    const StreamDirectory dir = StreamDirectory::parse(source);
+    const StatusOr<StreamDirectory> parsed =
+        StreamDirectory::tryParse(source);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().toString();
+    const StreamDirectory &dir = parsed.value();
     EXPECT_EQ(dir.sizes(), bundle.sizes());
     EXPECT_TRUE(dir.has("beta"));
     EXPECT_FALSE(dir.has("delta"));
-    EXPECT_EQ(dir.load(source, "alpha"), bundle.stream("alpha"));
-    EXPECT_EQ(dir.load(source, "beta"), bundle.stream("beta"));
-    EXPECT_EQ(dir.load(source, "gamma"), bundle.stream("gamma"));
+    for (const char *name : {"alpha", "beta", "gamma"}) {
+        std::vector<uint8_t> loaded;
+        ASSERT_TRUE(dir.tryLoad(source, name, loaded).ok()) << name;
+        EXPECT_EQ(loaded, bundle.stream(name)) << name;
+    }
+    std::vector<uint8_t> missing;
+    EXPECT_EQ(dir.tryLoad(source, "delta", missing).code(),
+              StatusCode::Corrupt);
 }
 
 TEST(StreamDirectory, WriteToMatchesSerialize)
@@ -375,27 +401,35 @@ TEST(StreamDirectory, ChecksumDetectsCorruption)
 {
     const StreamBundle bundle = makeBundle();
     std::vector<uint8_t> bytes = bundle.serialize();
-    EXPECT_TRUE(verifyArchiveChecksum(MemorySource(bytes)));
+    EXPECT_TRUE(verifyArchiveChecksumStatus(MemorySource(bytes)).ok());
     bytes[bytes.size() / 2] ^= 0x10;
-    EXPECT_FALSE(verifyArchiveChecksum(MemorySource(bytes)));
+    const Status flipped = verifyArchiveChecksumStatus(MemorySource(bytes));
+    EXPECT_EQ(flipped.code(), StatusCode::Corrupt) << flipped.toString();
+    EXPECT_NE(flipped.message().find("CRC mismatch"), std::string::npos);
 }
 
-TEST(StreamDirectory, TruncatedContainerDies)
+TEST(StreamDirectory, TruncatedContainerIsTruncated)
 {
     const StreamBundle bundle = makeBundle();
     std::vector<uint8_t> bytes = bundle.serialize();
     bytes.resize(bytes.size() / 2);
-    MemorySource source(bytes);
-    EXPECT_EXIT({ StreamDirectory::parse(source); },
-                ::testing::ExitedWithCode(1), ".*");
+    const StatusOr<StreamDirectory> parsed =
+        StreamDirectory::tryParse(MemorySource(bytes));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::Truncated)
+        << parsed.status().toString();
 }
 
-TEST(StreamDirectory, EmptyInputDies)
+TEST(StreamDirectory, EmptyInputIsTruncated)
 {
     const std::vector<uint8_t> empty;
-    MemorySource source(empty);
-    EXPECT_EXIT({ StreamDirectory::parse(source); },
-                ::testing::ExitedWithCode(1), "too small");
+    const StatusOr<StreamDirectory> parsed =
+        StreamDirectory::tryParse(MemorySource(empty));
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::Truncated);
+    EXPECT_NE(parsed.status().message().find("too small"),
+              std::string::npos)
+        << parsed.status().toString();
 }
 
 } // namespace

@@ -329,7 +329,12 @@ TEST(SageDecoderInfo, StreamSizesAndWorkingSet)
 {
     const SimulatedDataset ds = synthesizeDataset(makeTinySpec(false));
     const SageArchive archive = sageCompress(ds.readSet, ds.reference);
-    SageDecoder decoder(archive.bytes);
+    const MemorySource source(archive.bytes);
+    const StatusOr<std::unique_ptr<SageDecoder>> opened =
+        SageDecoder::tryOpen(source, /*dna_only=*/false,
+                             /*verify_checksum=*/true);
+    ASSERT_TRUE(opened.ok()) << opened.status().toString();
+    const SageDecoder &decoder = **opened;
     const ArchiveInfo &info = decoder.info();
     EXPECT_EQ(info.params.numReads, ds.readSet.reads.size());
     EXPECT_GT(info.dnaStreamBytes(), 0u);
